@@ -14,7 +14,8 @@ when the control qubit is 1. Two layer constructions are built from it:
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring. Class scores are state
 fidelities |<psi|phi_i>|^2, computable either directly or through the
-ancilla swap test.
+ancilla swap test. The batched forward pass scores signals against the
+class states pulled back through both layers (``pull_back``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import encode_rows
+# perfbench/run.py traces encode_rows through this module's namespace
+from .encoding import encode_rows, row_norms  # noqa: F401
 from .errors import CapacityError, ConfigError, NumericError, ShapeError
 from .parallel import map_rows
 from .qstate import (
@@ -166,18 +168,23 @@ def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
 
 
 def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
-                        theta: np.ndarray) -> np.ndarray:
-    """Run the circuit over raw amplitudes (batched over leading axes)."""
+                        theta: np.ndarray, *, adjoint: bool = False,
+                        trace: list | None = None) -> np.ndarray:
+    """Run the circuit, or with ``adjoint`` its inverse, over raw amplitudes
+    (batched over leading axes). A ``trace`` list receives the state in
+    front of every gate, in the order the gates are applied."""
     if circuit.param_offset + circuit.num_params > len(theta):
         raise ShapeError(
             f"parameter vector of length {len(theta)} too short for circuit "
             f"slots up to {circuit.param_offset + circuit.num_params - 1}"
         )
-    for gate in circuit.gates:
+    for gate in reversed(circuit.gates) if adjoint else circuit.gates:
         i, j, k = gate.param_slot
         u = rotation_matrix(theta[i], theta[j], theta[k])
+        if trace is not None:
+            trace.append(amps)
         amps = apply_controlled_matrix(amps, circuit.num_qubits, gate.control,
-                                       gate.target, u)
+                                       gate.target, u.conj().T if adjoint else u)
     return amps
 
 
@@ -307,19 +314,45 @@ def class_state_matrix(model: HQCGModel) -> np.ndarray:
     )
 
 
+def pull_back(model: HQCGModel, class_states: np.ndarray,
+              trace: list | None = None) -> np.ndarray:
+    """W = U^dagger Phi: the (C, 2^n) class states swept back through GQCG,
+    then LQCG, with conjugate-transposed gates. ``trace`` receives the
+    states in front of every undone gate (last circuit gate first)."""
+    amps = apply_param_circuit(class_states, model.gqcg, model.theta,
+                               adjoint=True, trace=trace)
+    return apply_param_circuit(amps, model.lqcg, model.theta, adjoint=True,
+                               trace=trace)
+
+
+def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
+    """Real and imaginary parts of conj(a_si) = <x_s|U^dagger phi_i> for raw
+    real rows of length L with L2 norms ``norms``. The encoded state is
+    x_s / norms[s], zero past L, so only the first L columns of each
+    pulled-back state count, and the norm divides the (batch, C) products
+    rather than the signals."""
+    head = pulled[:, : signals.shape[1]]
+    both = signals @ np.concatenate([head.real, head.imag]).T / norms[:, None]
+    return both[:, : len(pulled)], both[:, len(pulled) :]
+
+
 def forward_batch(model: HQCGModel, signals, threads: int | None = None) -> np.ndarray:
-    """Per-class fidelity scores for a (batch, length) signal matrix."""
+    """Per-class fidelity scores for a (batch, length) signal matrix.
+
+    The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
+    |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
+    the circuit once per call; each chunk of rows is then scored by one
+    real matrix product against the real and imaginary parts of the
+    pulled-back states. No per-sample state is built.
+    """
     if not np.isfinite(model.theta).all():
         raise NumericError("non-finite model parameters")
     signals = np.asarray(signals, dtype=np.float64)
-    phis = class_state_matrix(model)
+    pulled = pull_back(model, class_state_matrix(model))
 
     def probs_chunk(chunk):
-        amps = encode_rows(chunk, model.num_qubits)
-        amps = apply_param_circuit(amps, model.lqcg, model.theta)
-        amps = apply_param_circuit(amps, model.gqcg, model.theta)
-        overlaps = amps @ phis.conj().T
-        return np.abs(overlaps) ** 2
+        re, im = conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled)
+        return re * re + im * im
 
     return map_rows(probs_chunk, signals, threads)
 

@@ -92,6 +92,20 @@ def load_model(path):
     raise DataFormatError(f"checkpoint has unknown kind {kind!r}")
 
 
+def _check_compatible(doc: dict, dataset: Dataset) -> None:
+    """Reject a dataset whose geometry differs from the checkpoint's."""
+    if dataset.signal_len != _require(doc, "signal_len"):
+        raise ConfigError(
+            f"dataset signal length {dataset.signal_len} does not match "
+            f"checkpoint ({doc['signal_len']})"
+        )
+    if dataset.num_classes != _require(doc, "num_classes"):
+        raise ConfigError(
+            f"dataset has {dataset.num_classes} classes, checkpoint expects "
+            f"{doc['num_classes']}"
+        )
+
+
 # --- command helpers ----------------------------------------------------------
 
 
@@ -195,11 +209,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     kind, model, predict_fn, doc = load_model(args.model_path)
     dataset = load_dataset(args.data)
-    if dataset.signal_len != doc.get("signal_len", dataset.signal_len):
-        raise ConfigError(
-            f"dataset signal length {dataset.signal_len} does not match "
-            f"checkpoint ({doc['signal_len']})"
-        )
+    _check_compatible(doc, dataset)
     if args.split == "all":
         samples = dataset.samples
     else:
@@ -231,11 +241,7 @@ def cmd_predict(args) -> int:
     except EmptyDatasetError as err:
         print(f"warning: {err}; nothing to predict", file=sys.stderr)
         return EXIT_OK
-    if dataset.num_classes != doc.get("num_classes", dataset.num_classes):
-        raise ConfigError(
-            f"dataset has {dataset.num_classes} classes, checkpoint expects "
-            f"{doc['num_classes']}"
-        )
+    _check_compatible(doc, dataset)
     signals, _, ids = stack_samples(dataset)
     probs = predict_fn(model, signals)
     top = args.top if args.top is not None else dataset.num_classes

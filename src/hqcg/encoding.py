@@ -44,27 +44,38 @@ def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
     return Statevector(n, amps)
 
 
-def encode_rows(signals: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Encode a (batch, length) matrix into raw (batch, 2^n) amplitudes."""
-    sig = np.asarray(signals, dtype=np.float64)
-    if sig.ndim != 2 or sig.shape[1] == 0:
-        raise EncodingError(f"expected a (batch, length) matrix, got shape {sig.shape}")
+def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
+    """L2 norm of every row of a (batch, length) matrix, once the rows are
+    known to fit ``num_qubits`` and to be encodable: finite, not all zero,
+    and with a norm that does not overflow."""
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim != 2 or signals.shape[1] == 0:
+        raise EncodingError(
+            f"expected a (batch, length) matrix, got shape {signals.shape}")
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise CapacityError(
             f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
-    if sig.shape[1] > (1 << num_qubits):
+    if signals.shape[1] > (1 << num_qubits):
         raise CapacityError(
-            f"signals of length {sig.shape[1]} do not fit in {num_qubits} qubits"
+            f"signals of length {signals.shape[1]} do not fit in {num_qubits} qubits"
         )
-    finite = np.isfinite(sig).all(axis=1)
-    if not finite.all():
-        raise EncodingError(f"signal row {int(np.argmin(finite))} contains NaN or Inf")
-    norms = np.linalg.norm(sig, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", signals, signals))
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise EncodingError(f"signal row {int(np.argmax(bad))} contains NaN or Inf "
+                            "or overflows its L2 norm")
     if (norms == 0.0).any():
         raise EncodingError(
             f"signal row {int(np.argmin(norms > 0))} is all-zero and cannot be encoded"
         )
+    return norms
+
+
+def encode_rows(signals: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Encode a (batch, length) matrix into raw (batch, 2^n) amplitudes."""
+    sig = np.asarray(signals, dtype=np.float64)
+    norms = row_norms(sig, num_qubits)
     amps = np.zeros((sig.shape[0], 1 << num_qubits), dtype=np.complex128)
     amps[:, : sig.shape[1]] = sig / norms[:, None]
     return amps

@@ -1,15 +1,31 @@
-"""Exact loss gradients via reverse accumulation through the statevector.
+"""Exact loss gradients by an adjoint sweep over the class states.
 
-For each sample the forward pass keeps the state before every trainable
-gate; one backward sweep then carries the class-weighted residual bra
-through the circuit, picking up 2*Re<bra|dG/dtheta|psi_pre> per angle.
-The derivative of a controlled rotation is P1 (x) dU/dtheta (the plain
-two-term parameter-shift rule does not hold here because the controlled
-gate's generator has three eigenvalues). Class-state parameters get the
-same treatment per class, sweeping <psi| back through the ansatz.
+The score of class i on sample s is p_si = |a_si|^2 with
+a_si = <phi_i|U|x_s> = <w_i|x_s>, where U is LQCG followed by GQCG and
+w_i = U^dagger phi_i is class state i pulled back through the circuit
+(``circuit.pull_back``). With c_si = dL_s/dp_si, the derivative of the
+batch loss by the angle of gate k, U = G_N ... G_1, is
 
-All batch reductions are plain axis sums in sample order, so gradients
-are bit-for-bit reproducible.
+    dL/dtheta = (2/B) Re sum_i <phi_i| G_N ... dG_k ... G_1 |r_i>,
+    r_i = sum_s c_si conj(a_si) |x_s>,
+
+so the batch folds into C kets before any gate is applied. The adjoint
+sweep of Jones & Gacon 2020 (arXiv:2009.02823) then runs over the C pairs
+(phi_i, r_i) instead of the B samples: the bra at gate k,
+G_{k+1}^dagger ... G_N^dagger phi_i, is an intermediate the pull-back
+recorded while computing the overlaps, and the ket is r_i pushed forward
+to gate k. The derivative of a controlled rotation is P1 (x) dU/dtheta
+(the plain two-term parameter-shift rule does not hold here because the
+controlled gate's generator has three eigenvalues).
+
+Class-state angles take xi_i = U r_i, the end of that forward sweep:
+dL/dtheta = (2/B) Re <xi_i|dK_i|0>, with <xi_i| swept back through the
+class ansatz K_i. The first angle of every ansatz rotation is an Rz acting
+on |0>, a global phase, so its gradient is exactly zero and is written
+without a kernel call.
+
+Batch reductions are fixed-shape matrix products, so reruns give
+bit-for-bit identical gradients.
 """
 
 from __future__ import annotations
@@ -18,13 +34,18 @@ import numpy as np
 
 from .circuit import (
     HQCGModel,
+    apply_param_circuit,
     class_state_gate_plan,
     class_state_trace,
+    conj_overlaps,
+    forward_batch,
+    pull_back,
     rotation_matrix,
     rotation_matrix_derivatives,
     _X,
 )
-from .encoding import encode_rows
+# perfbench/run.py traces encode_rows through this module's namespace
+from .encoding import encode_rows, row_norms  # noqa: F401
 from .errors import ConfigError, NumericError, ShapeError
 from .qstate import apply_controlled_matrix, apply_single_matrix
 from .train import bce_prob_gradient, bce_rows
@@ -46,93 +67,78 @@ def _check_batch(model: HQCGModel, signals, labels):
     return signals, labels
 
 
-def _forward_trace(model: HQCGModel, signals):
-    """Encoded batch pushed through both layers, recording pre-gate states."""
-    n = model.num_qubits
-    amps = encode_rows(signals, n)
-    gates = model.lqcg.gates + model.gqcg.gates
+def _forward_trace(model: HQCGModel, kets):
+    """The folded (C, 2^n) kets pushed through both layers, recording the
+    state in front of every gate."""
     pre_states = []
-    for gate in gates:
-        i, j, k = gate.param_slot
-        u = rotation_matrix(model.theta[i], model.theta[j], model.theta[k])
-        pre_states.append(amps)
-        amps = apply_controlled_matrix(amps, n, gate.control, gate.target, u)
-    return amps, gates, pre_states
+    amps = apply_param_circuit(kets, model.lqcg, model.theta, trace=pre_states)
+    amps = apply_param_circuit(amps, model.gqcg, model.theta, trace=pre_states)
+    return amps, model.lqcg.gates + model.gqcg.gates, pre_states
 
 
 def batch_loss(model: HQCGModel, signals, labels) -> float:
-    """Mean BCE of the batch, via the same forward path the gradients use."""
+    """Mean BCE of the batch over the ``forward_batch`` scores."""
     signals, labels = _check_batch(model, signals, labels)
-    psi, _, _ = _forward_trace(model, signals)
-    phis = np.stack([
-        class_state_trace(model.num_qubits, model.class_angles(i))[0]
-        for i in range(model.num_classes)
-    ])
-    probs = np.abs(psi @ phis.conj().T) ** 2
-    return float(np.mean(bce_rows(probs, labels)))
+    return float(np.mean(bce_rows(forward_batch(model, signals), labels)))
 
 
 def loss_and_gradients(model: HQCGModel, signals, labels):
     """(mean batch BCE, exact gradient w.r.t. every model parameter)."""
     signals, labels = _check_batch(model, signals, labels)
     n = model.num_qubits
-    batch = signals.shape[0]
     theta = model.theta
 
-    psi, gates, pre_states = _forward_trace(model, signals)
+    norms = row_norms(signals, n)
     traces = [class_state_trace(n, model.class_angles(i))
               for i in range(model.num_classes)]
-    phis = np.stack([t[0] for t in traces])
-
-    overlaps = psi @ phis.conj().T          # a_si = <phi_i|psi_s>
-    probs = np.abs(overlaps) ** 2
-    rows = bce_rows(probs, labels)
-    bad = ~np.isfinite(rows)
+    bras = []
+    pulled = pull_back(model, np.stack([t[0] for t in traces]), trace=bras)
+    re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
+    probs = re * re + im * im
+    losses = bce_rows(probs, labels)
+    bad = ~np.isfinite(losses)
     if bad.any():
         idx = int(np.argmax(bad))
         raise NumericError(f"non-finite loss for batch row {idx}",
                            sample_index=idx)
-    loss = float(rows.mean())
+    loss = float(losses.mean())
 
     coef = bce_prob_gradient(probs, labels)  # dL_s/dp_si, clamp-aware
-    weights = coef * overlaps                # c_si * a_si
+    # r_i = sum_s c_si conj(a_si) x_s / norms[s], one product over the signals
+    scale = coef / norms[:, None]
+    folded = np.concatenate([scale * re, scale * im], axis=1).T @ signals
+    kets = np.zeros_like(pulled)
+    kets[:, : signals.shape[1]] = folded[: len(kets)] + 1j * folded[len(kets) :]
+    xi, gates, pre_states = _forward_trace(model, kets)
     grads = np.zeros(model.num_params)
 
-    # Circuit parameters: sweep the weighted residual bra backwards.
-    # |chi_s> = sum_i c_si a_si |phi_i>, and dL_s/dtheta = 2 Re <chi|dG|psi_pre>.
-    bra = weights @ phis
-    for gate, pre in zip(reversed(gates), reversed(pre_states)):
-        i, j, k = gate.param_slot
-        angles = (theta[i], theta[j], theta[k])
-        u = rotation_matrix(*angles)
+    # Circuit parameters: the pull-back recorded the bras last gate first.
+    for gate, bra, pre in zip(gates, reversed(bras), pre_states):
+        angles = theta[list(gate.param_slot)]
         for slot, du in zip(gate.param_slot, rotation_matrix_derivatives(*angles)):
             dpsi = apply_controlled_matrix(pre, n, gate.control, gate.target,
                                            du, keep_inactive=False)
-            grads[slot] = 2.0 * float(np.real(np.sum(np.conj(bra) * dpsi)))
-        bra = apply_controlled_matrix(bra, n, gate.control, gate.target,
-                                      u.conj().T)
+            grads[slot] = 2.0 * float(np.real(np.vdot(bra, dpsi)))
 
-    # Class-state parameters: per class, sweep <xi_i| = sum_s c_si a_si <psi_s|
-    # back through the ansatz; dL/dtheta = 2 Re <xi|dK|phi_pre>.
+    # Class-state parameters: per class, sweep <xi_i| back through the
+    # ansatz; dL/dtheta = 2 Re <xi|dK|phi_pre>. Slot b, the Rz on |0>, stays 0.
     plan = class_state_gate_plan(n)
     for c in range(model.num_classes):
         _, pre_phi = traces[c]
-        xi = np.einsum("s,sd->d", np.conj(weights[:, c]), psi)
+        bra = xi[c]
         base = model.class_params_offset + 3 * n * c
         for (kind, a, b), pre in zip(reversed(plan), reversed(pre_phi)):
             if kind == "rot":
-                angles = tuple(theta[base + b : base + b + 3])
-                u = rotation_matrix(*angles)
-                for off, du in enumerate(rotation_matrix_derivatives(*angles)):
+                angles = theta[base + b : base + b + 3]
+                _, d_mid, d_last = rotation_matrix_derivatives(*angles)
+                for off, du in ((1, d_mid), (2, d_last)):
                     dphi = apply_single_matrix(pre, n, a, du)
-                    grads[base + b + off] = 2.0 * float(
-                        np.real(np.sum(np.conj(xi) * dphi))
-                    )
-                xi = apply_single_matrix(xi, n, a, u.conj().T)
+                    grads[base + b + off] = 2.0 * float(np.real(np.vdot(bra, dphi)))
+                bra = apply_single_matrix(bra, n, a, rotation_matrix(*angles).conj().T)
             else:
-                xi = apply_controlled_matrix(xi, n, a, b, _X)  # CNOT is self-inverse
+                bra = apply_controlled_matrix(bra, n, a, b, _X)  # CNOT is self-inverse
 
-    grads /= batch
+    grads /= signals.shape[0]
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads

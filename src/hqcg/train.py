@@ -13,6 +13,7 @@ outputs stay byte-identical across reruns.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -38,6 +39,10 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
+        for name in ("lr_max", "weight_decay", "eps_adam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr_max <= 0:
             raise ConfigError(f"lr_max must be > 0, got {self.lr_max}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):

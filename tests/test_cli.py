@@ -128,6 +128,34 @@ def test_eval_mismatched_signal_length(tmp_path, capsys):
     assert "signal length" in capsys.readouterr().err
 
 
+def test_eval_mismatched_class_count(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    _, out_dir = _train(tmp_path, data_dir)
+    other = tmp_path / "other"
+    assert main(["synth", "--classes", "2", "--len", "32", "--samples", "20",
+                 "--seed", "1", "--out", str(other)]) == 0
+    code = main(["eval", "--model-path", str(out_dir / "model.json"),
+                 "--data", str(other), "--split", "all",
+                 "--out", str(tmp_path / "e2")])
+    assert code == 2
+    assert "classes" in capsys.readouterr().err
+
+
+def test_predict_mismatched_signal_length(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    _, out_dir = _train(tmp_path, data_dir)
+    other = tmp_path / "other"
+    assert main(["synth", "--classes", "3", "--len", "16", "--samples", "20",
+                 "--seed", "1", "--out", str(other)]) == 0
+    capsys.readouterr()
+    code = main(["predict", "--model-path", str(out_dir / "model.json"),
+                 "--data", str(other)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "signal length" in captured.err
+    assert captured.out == ""
+
+
 def test_predict_top_k(tmp_path, capsys):
     data_dir = _synth(tmp_path)
     _, out_dir = _train(tmp_path, data_dir)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import hqcg.circuit
+import hqcg.grad
 from hqcg import (
     ConfigError,
     NumericError,
@@ -11,6 +13,7 @@ from hqcg import (
     batch_loss,
     build_model,
     finite_diff_oracle,
+    forward_batch,
     loss_and_gradients,
     zero_state,
 )
@@ -141,3 +144,48 @@ def test_non_finite_parameters_raise_numeric_error():
     model.theta[0] = np.inf
     with pytest.raises(NumericError):
         loss_and_gradients(model, np.ones((1, 4)), np.ones((1, 2)))
+
+
+def test_class_phase_slots_have_exactly_zero_gradient():
+    # Each class-state rotation starts with Rz(a) on |0>, a global phase.
+    rng = np.random.default_rng(24)
+    model = build_model(6, 3, 3, seed=5)
+    signals, labels = _random_batch(rng, model, 4, 40)
+    _, analytic = loss_and_gradients(model, signals, labels)
+    n = model.num_qubits
+    phase = [model.class_params_offset + 3 * n * c + 3 * q
+             for c in range(model.num_classes) for q in range(n)]
+    assert len(phase) == n * model.num_classes
+    assert (analytic[phase] == 0.0).all()
+    fd = finite_diff_oracle(model, signals, labels, eps=1e-5)
+    assert _contract_ok(analytic[phase], fd[phase])
+    others = np.setdiff1d(np.arange(model.num_params), phase)
+    assert (analytic[others] != 0.0).all()
+
+
+def test_kernels_never_see_more_than_class_count_rows(monkeypatch):
+    # The batch is folded into one ket per class before any gate runs, so
+    # neither the row count nor the number of kernel calls grows with B.
+    seen = []
+
+    def recording(kernel):
+        def wrapped(amps, *args, **kwargs):
+            seen.append(1 if amps.ndim == 1 else amps.shape[0])
+            return kernel(amps, *args, **kwargs)
+        return wrapped
+
+    for module in (hqcg.circuit, hqcg.grad):
+        for name in ("apply_controlled_matrix", "apply_single_matrix"):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+
+    rng = np.random.default_rng(25)
+    model = build_model(6, 3, 3, seed=6)
+    calls = {}
+    for batch in (2, 64):
+        signals, labels = _random_batch(rng, model, batch, 40)
+        seen.clear()
+        loss_and_gradients(model, signals, labels)
+        forward_batch(model, signals)
+        assert seen and max(seen) <= model.num_classes, batch
+        calls[batch] = len(seen)
+    assert calls[2] == calls[64]

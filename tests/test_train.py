@@ -214,3 +214,18 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr_max", float("nan")),
+    ("lr_max", float("inf")),
+    ("weight_decay", float("inf")),
+    ("weight_decay", float("nan")),
+    ("eps_adam", float("nan")),
+    ("eps_adam", float("inf")),
+    ("beta1", float("nan")),
+    ("beta2", float("nan")),
+])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
