@@ -7,7 +7,7 @@ from .circuit import HQCGModel, ParamCircuit, ParamGate, build_class_state, \
     build_gqcg, build_lqcg, build_model, class_state_matrix, direct_fidelity, \
     format_circuit, forward, forward_batch, rotation_matrix, swap_test_fidelity
 from .data import Dataset, Sample, SyntheticSpec, generate_synthetic, \
-    generate_twin_channel, load_dataset, save_dataset, split, stack_samples
+    load_dataset, save_dataset, split, stack_samples
 from .encoding import amplitude_encode, encode_rows, required_qubits
 from .errors import CapacityError, ConfigError, DataFormatError, \
     EmptyDatasetError, EncodingError, HqcgError, NumericError, ShapeError, \

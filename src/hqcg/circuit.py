@@ -12,7 +12,9 @@ when the control qubit is 1. Two layer constructions are built from it:
   representatives.
 
 Per-class learnable states are prepared by one layer of per-qubit
-rotations followed by a fixed CNOT ring. Class scores are state
+rotations followed by a fixed CNOT ring; the ring only permutes basis
+states, so they are built as permuted Kronecker products of single-qubit
+columns (``class_state_trace``). Class scores are state
 fidelities |<psi|phi_i>|^2, computable either directly or through the
 ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``).
@@ -21,6 +23,7 @@ class states pulled back through both layers (``pull_back``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,12 +38,10 @@ from .qstate import (
     apply_single_matrix,
     apply_swap_kernel,
     inner_product,
-    zero_state,
 )
 
 PARAMS_PER_GATE = 3
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
@@ -115,27 +116,35 @@ class ParamCircuit:
         return PARAMS_PER_GATE * len(self.gates)
 
 
-def build_lqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
-    """Local layer: per-block chain over adjacent qubits plus a skip gate.
-
-    Produces exactly ``num_qubits`` gates (g per block, n/g blocks) and
-    3 * num_qubits new parameters.
-    """
+def _groups(num_qubits: int, group_size: int) -> list[list[int]]:
+    """The contiguous qubit blocks of size ``group_size``."""
     if group_size < 2:
         raise ConfigError(f"group size must be >= 2, got {group_size}")
     if num_qubits % group_size != 0:
         raise ConfigError(
             f"group size {group_size} does not divide qubit count {num_qubits}"
         )
+    return [list(range(start, start + group_size))
+            for start in range(0, num_qubits, group_size)]
+
+
+def _chain_with_skip(qubits: list[int], slot: int) -> list[ParamGate]:
+    """CU(q_k -> q_k+1) along ``qubits``, then the skip gate CU(last -> first),
+    owning consecutive parameter slots from ``slot`` on."""
+    pairs = list(zip(qubits, qubits[1:])) + [(qubits[-1], qubits[0])]
+    return [ParamGate(c, t, (s, s + 1, s + 2))
+            for (c, t), s in zip(pairs, range(slot, slot + 3 * len(pairs), 3))]
+
+
+def build_lqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
+    """Local layer: per-block chain over adjacent qubits plus a skip gate.
+
+    Produces exactly ``num_qubits`` gates (g per block, n/g blocks) and
+    3 * num_qubits new parameters.
+    """
     gates = []
-    slot = param_offset
-    for start in range(0, num_qubits, group_size):
-        last = start + group_size - 1
-        for q in range(start, last):
-            gates.append(ParamGate(q, q + 1, (slot, slot + 1, slot + 2)))
-            slot += 3
-        gates.append(ParamGate(last, start, (slot, slot + 1, slot + 2)))
-        slot += 3
+    for block in _groups(num_qubits, group_size):
+        gates += _chain_with_skip(block, param_offset + PARAMS_PER_GATE * len(gates))
     return ParamCircuit(num_qubits, tuple(gates), param_offset)
 
 
@@ -145,25 +154,13 @@ def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
     The representative of block k is its last qubit, (k+1)*g - 1, where the
     local chain terminates. Needs at least two blocks.
     """
-    if group_size < 2:
-        raise ConfigError(f"group size must be >= 2, got {group_size}")
-    if num_qubits % group_size != 0:
-        raise ConfigError(
-            f"group size {group_size} does not divide qubit count {num_qubits}"
-        )
-    num_groups = num_qubits // group_size
-    if num_groups < 2:
+    groups = _groups(num_qubits, group_size)
+    if len(groups) < 2:
         raise ConfigError(
             "global layer needs at least two qubit groups "
-            f"(got {num_groups} group of size {group_size})"
+            f"(got {len(groups)} group of size {group_size})"
         )
-    reps = [(k + 1) * group_size - 1 for k in range(num_groups)]
-    gates = []
-    slot = param_offset
-    for k in range(num_groups - 1):
-        gates.append(ParamGate(reps[k], reps[k + 1], (slot, slot + 1, slot + 2)))
-        slot += 3
-    gates.append(ParamGate(reps[-1], reps[0], (slot, slot + 1, slot + 2)))
+    gates = _chain_with_skip([block[-1] for block in groups], param_offset)
     return ParamCircuit(num_qubits, tuple(gates), param_offset)
 
 
@@ -191,53 +188,46 @@ def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
 # --- learnable class states ---------------------------------------------------
 
 
-def class_state_gate_plan(num_qubits: int):
-    """Gate sequence of the class-state ansatz: n rotations, then a CNOT ring."""
-    plan = [("rot", q, 3 * q) for q in range(num_qubits)]
-    if num_qubits >= 2:
-        plan += [("cnot", k, (k + 1) % num_qubits) for k in range(num_qubits)]
-    return plan
-
-
-def _class_state_sweep(num_qubits: int, angles: np.ndarray, record: bool):
-    amps = zero_state(num_qubits).amplitudes
-    trace = []
-    for kind, a, b in class_state_gate_plan(num_qubits):
-        if record:
-            trace.append(amps)
-        if kind == "rot":
-            u = rotation_matrix(angles[b], angles[b + 1], angles[b + 2])
-            amps = apply_single_matrix(amps, num_qubits, a, u)
-        else:
-            amps = apply_controlled_matrix(amps, num_qubits, a, b, _X)
-    return amps, trace
-
-
-def class_state_amplitudes(num_qubits: int, angles) -> np.ndarray:
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    if angles.size != 3 * num_qubits:
-        raise ShapeError(
-            f"class state on {num_qubits} qubits needs {3 * num_qubits} angles, "
-            f"got {angles.size}"
-        )
-    amps, _ = _class_state_sweep(num_qubits, angles, record=False)
-    return amps
+@lru_cache(maxsize=64)
+def _ring_permutation(num_qubits: int) -> np.ndarray:
+    """Image of every basis index under the CNOT ring CNOT(k -> k+1 mod n),
+    k = 0..n-1; the identity for one qubit, where there is no ring."""
+    idx = np.arange(1 << num_qubits)
+    if num_qubits > 1:
+        for k in range(num_qubits):
+            idx ^= ((idx >> k) & 1) << ((k + 1) % num_qubits)
+    idx.setflags(write=False)
+    return idx
 
 
 def class_state_trace(num_qubits: int, angles):
-    """Final amplitudes plus the pre-gate state of every ansatz gate."""
-    angles = np.asarray(angles, dtype=np.float64).ravel()
-    if angles.size != 3 * num_qubits:
+    """Class states from a (C, 3n) block of angles, one row per class, plus
+    the (C, n, 2) single-qubit columns u_q|0> they are built from.
+
+    The ansatz puts each qubit in u_q|0> and closes with a CNOT ring. The
+    ring only permutes basis states, so each class state is that
+    permutation of the Kronecker product of its n columns, qubit q on bit q.
+    """
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 2 or angles.shape[1] != 3 * num_qubits:
         raise ShapeError(
-            f"class state on {num_qubits} qubits needs {3 * num_qubits} angles, "
-            f"got {angles.size}"
+            f"class state on {num_qubits} qubits needs {3 * num_qubits} angles "
+            f"per class, got an array of shape {angles.shape}"
         )
-    return _class_state_sweep(num_qubits, angles, record=True)
+    cols = np.array([[rotation_matrix(*qubit)[:, 0] for qubit in row]
+                     for row in angles.reshape(len(angles), num_qubits, 3)])
+    product = cols[:, 0]
+    for q in range(1, num_qubits):
+        product = (cols[:, q, :, None] * product[:, None, :]).reshape(len(cols), -1)
+    states = np.empty_like(product)
+    states[:, _ring_permutation(num_qubits)] = product
+    return states, cols
 
 
 def build_class_state(num_qubits: int, class_params) -> Statevector:
     """Learnable per-class state: per-qubit rotations, then the CNOT ring."""
-    return Statevector(num_qubits, class_state_amplitudes(num_qubits, class_params))
+    angles = np.asarray(class_params, dtype=np.float64).reshape(1, -1)
+    return Statevector(num_qubits, class_state_trace(num_qubits, angles)[0][0])
 
 
 # --- model --------------------------------------------------------------------
@@ -268,26 +258,27 @@ class HQCGModel:
             )
 
     @property
-    def num_params(self) -> int:
-        n, m = self.num_qubits, self.num_qubits // self.group_size
-        return 3 * n + 3 * m + 3 * n * self.num_classes
+    def class_params_offset(self) -> int:
+        return self.lqcg.num_params + self.gqcg.num_params
 
     @property
-    def class_params_offset(self) -> int:
-        return 3 * self.num_qubits + 3 * (self.num_qubits // self.group_size)
+    def num_params(self) -> int:
+        return self.class_params_offset + 3 * self.num_qubits * self.num_classes
+
+    def class_angle_block(self) -> np.ndarray:
+        """The class-state angles as a (num_classes, 3n) block, one row per class."""
+        return self.theta[self.class_params_offset :].reshape(self.num_classes, -1)
 
     def class_angles(self, index: int) -> np.ndarray:
         if not 0 <= index < self.num_classes:
             raise IndexError(f"class index {index} out of range")
-        start = self.class_params_offset + 3 * self.num_qubits * index
-        return self.theta[start : start + 3 * self.num_qubits]
+        return self.class_angle_block()[index]
 
     def param_counts(self) -> dict[str, int]:
-        n, m = self.num_qubits, self.num_qubits // self.group_size
         return {
-            "lqcg": 3 * n,
-            "gqcg": 3 * m,
-            "class_states": 3 * n * self.num_classes,
+            "lqcg": self.lqcg.num_params,
+            "gqcg": self.gqcg.num_params,
+            "class_states": self.num_params - self.class_params_offset,
             "total": self.num_params,
         }
 
@@ -308,10 +299,7 @@ def build_model(num_qubits: int, group_size: int, num_classes: int,
 
 def class_state_matrix(model: HQCGModel) -> np.ndarray:
     """All class states stacked as a (num_classes, 2^n) matrix."""
-    return np.stack(
-        [class_state_amplitudes(model.num_qubits, model.class_angles(i))
-         for i in range(model.num_classes)]
-    )
+    return class_state_trace(model.num_qubits, model.class_angle_block())[0]
 
 
 def pull_back(model: HQCGModel, class_states: np.ndarray,

@@ -242,11 +242,11 @@ def cmd_predict(args) -> int:
         print(f"warning: {err}; nothing to predict", file=sys.stderr)
         return EXIT_OK
     _check_compatible(doc, dataset)
-    signals, _, ids = stack_samples(dataset)
-    probs = predict_fn(model, signals)
     top = args.top if args.top is not None else dataset.num_classes
     if not 1 <= top <= dataset.num_classes:
         raise ConfigError(f"--top must be in [1, {dataset.num_classes}], got {top}")
+    signals, _, ids = stack_samples(dataset)
+    probs = predict_fn(model, signals)
     for sid, row in zip(ids, probs):
         order = np.argsort(-row, kind="stable")[:top]
         scores = "  ".join(f"class{c}={row[c]:.4f}" for c in order)
@@ -374,7 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args) -> None:
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` checked against the type and choices its flag declares."""
+    if value is None and action.default is None and not action.required:
+        return None
+    kind = action.type or str
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(
+            f"config entry {key!r} must be of type {kind.__name__}, got {value!r}"
+        )
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config entry {key!r} must be one of {', '.join(action.choices)}, "
+            f"got {value!r}"
+        )
+    return kind(value)
+
+
+def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
     try:
@@ -383,11 +401,15 @@ def _apply_config_file(args) -> None:
         raise ConfigError(f"cannot read config file {args.config}: {err}") from None
     if not isinstance(overrides, dict):
         raise ConfigError("config file must hold a JSON object")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[args.command]._actions
+             if a.option_strings and a.dest != "help"}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flags:
             raise ConfigError(f"config file sets unknown option {key!r}")
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(key, value, flags[dest]))
 
 
 def main(argv=None) -> int:
@@ -397,7 +419,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return args.func(args)
     except BrokenPipeError:
         # downstream reader (head, a pager) closed the pipe; leave quietly

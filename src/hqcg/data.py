@@ -15,7 +15,7 @@ sample index), so generation order does not matter.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,45 +114,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         values = spec.template_gain * templates[bits].sum(axis=0) + noise
         samples.append(Sample(f"s{i:05d}", values, bits.astype(np.int64)))
     return Dataset(samples, spec.num_classes, spec.signal_len)
-
-
-def generate_twin_channel(spec: SyntheticSpec):
-    """Two half-length channels plus their concatenation, sharing labels.
-
-    Returns (left, right, both). Each channel is an independent half-length
-    draw (own noise, half-length region layout) conditioned on one shared
-    label vector per sample; ``both`` concatenates left then right. Enables
-    single-channel vs concatenated comparisons on synthetic data.
-    """
-    if spec.signal_len % 2 != 0:
-        raise ConfigError(
-            f"twin-channel generation needs an even signal length, "
-            f"got {spec.signal_len}"
-        )
-    half = replace(spec, signal_len=spec.signal_len // 2, region_size=None)
-    templates = class_templates(half)
-    p_active = spec.label_density / spec.num_classes
-    left, right, both = [], [], []
-    for i in range(spec.num_samples):
-        rng = np.random.default_rng([spec.seed, i])
-        while True:
-            bits = rng.random(spec.num_classes) < p_active
-            if bits.any():
-                break
-        labels = bits.astype(np.int64)
-        sid = f"s{i:05d}"
-        channels = []
-        for channel in (0, 1):
-            noise = np.random.default_rng([spec.seed, i, channel]).normal(
-                0.0, spec.noise_sigma, half.signal_len)
-            channels.append(spec.template_gain * templates[bits].sum(axis=0)
-                            + noise)
-        left.append(Sample(sid, channels[0], labels))
-        right.append(Sample(sid, channels[1], labels))
-        both.append(Sample(sid, np.concatenate(channels), labels))
-    return (Dataset(left, spec.num_classes, half.signal_len),
-            Dataset(right, spec.num_classes, half.signal_len),
-            Dataset(both, spec.num_classes, spec.signal_len))
 
 
 def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, list[str]]:

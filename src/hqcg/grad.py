@@ -19,10 +19,13 @@ to gate k. The derivative of a controlled rotation is P1 (x) dU/dtheta
 controlled gate's generator has three eigenvalues).
 
 Class-state angles take xi_i = U r_i, the end of that forward sweep:
-dL/dtheta = (2/B) Re <xi_i|dK_i|0>, with <xi_i| swept back through the
-class ansatz K_i. The first angle of every ansatz rotation is an Rz acting
-on |0>, a global phase, so its gradient is exactly zero and is written
-without a kernel call.
+dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class state is a fixed basis
+permutation P of a product of single-qubit columns u_q|0>
+(``circuit.class_state_trace``), so with t_i = conj(xi_i)[P] the
+derivative by an angle of qubit q is the 2-vector e_iq, t_i contracted
+against the other n-1 columns of class i, dotted with the derivative of
+column q. The first angle of every column's rotation is an Rz acting on
+|0>, a global phase, so its gradient is exactly zero.
 
 Batch reductions are fixed-shape matrix products, so reruns give
 bit-for-bit identical gradients.
@@ -35,19 +38,18 @@ import numpy as np
 from .circuit import (
     HQCGModel,
     apply_param_circuit,
-    class_state_gate_plan,
     class_state_trace,
     conj_overlaps,
     forward_batch,
     pull_back,
-    rotation_matrix,
     rotation_matrix_derivatives,
-    _X,
+    _ring_permutation,
 )
-# perfbench/run.py traces encode_rows through this module's namespace
+# perfbench/run.py traces encode_rows and both kernels through this
+# module's namespace
 from .encoding import encode_rows, row_norms  # noqa: F401
 from .errors import ConfigError, NumericError, ShapeError
-from .qstate import apply_controlled_matrix, apply_single_matrix
+from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
 from .train import bce_prob_gradient, bce_rows
 
 
@@ -76,6 +78,14 @@ def _forward_trace(model: HQCGModel, kets):
     return amps, model.lqcg.gates + model.gqcg.gates, pre_states
 
 
+def _contract_top(amps: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Contract the top bit of the last axis of (C, ..., 2^k) ``amps`` with
+    the per-class (C, 2) ``cols``."""
+    half = amps.shape[-1] // 2
+    cols = cols.reshape((len(cols),) + (1,) * (amps.ndim - 1) + (2,))
+    return cols[..., 0] * amps[..., :half] + cols[..., 1] * amps[..., half:]
+
+
 def batch_loss(model: HQCGModel, signals, labels) -> float:
     """Mean BCE of the batch over the ``forward_batch`` scores."""
     signals, labels = _check_batch(model, signals, labels)
@@ -89,10 +99,10 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     theta = model.theta
 
     norms = row_norms(signals, n)
-    traces = [class_state_trace(n, model.class_angles(i))
-              for i in range(model.num_classes)]
+    class_angles = model.class_angle_block()
+    states, cols = class_state_trace(n, class_angles)
     bras = []
-    pulled = pull_back(model, np.stack([t[0] for t in traces]), trace=bras)
+    pulled = pull_back(model, states, trace=bras)
     re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
     probs = re * re + im * im
     losses = bce_rows(probs, labels)
@@ -120,23 +130,22 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
                                            du, keep_inactive=False)
             grads[slot] = 2.0 * float(np.real(np.vdot(bra, dpsi)))
 
-    # Class-state parameters: per class, sweep <xi_i| back through the
-    # ansatz; dL/dtheta = 2 Re <xi|dK|phi_pre>. Slot b, the Rz on |0>, stays 0.
-    plan = class_state_gate_plan(n)
-    for c in range(model.num_classes):
-        _, pre_phi = traces[c]
-        bra = xi[c]
-        base = model.class_params_offset + 3 * n * c
-        for (kind, a, b), pre in zip(reversed(plan), reversed(pre_phi)):
-            if kind == "rot":
-                angles = theta[base + b : base + b + 3]
-                _, d_mid, d_last = rotation_matrix_derivatives(*angles)
-                for off, du in ((1, d_mid), (2, d_last)):
-                    dphi = apply_single_matrix(pre, n, a, du)
-                    grads[base + b + off] = 2.0 * float(np.real(np.vdot(bra, dphi)))
-                bra = apply_single_matrix(bra, n, a, rotation_matrix(*angles).conj().T)
-            else:
-                bra = apply_controlled_matrix(bra, n, a, b, _X)  # CNOT is self-inverse
+    # Class-state parameters: contract t = conj(xi)[P] down from the top
+    # qubit; what is left above qubit q is already contracted, so e_iq needs
+    # only the columns below it. Slot a, the Rz on |0>, stays 0.
+    t = xi[:, _ring_permutation(n)].conj()
+    base = model.class_params_offset
+    for q in reversed(range(n)):
+        env = t.reshape(len(t), 2, -1)
+        for p in reversed(range(q)):
+            env = _contract_top(env, cols[:, p])
+        env = env[:, :, 0]
+        for c, angles in enumerate(class_angles[:, 3 * q : 3 * q + 3]):
+            _, d_mid, d_last = rotation_matrix_derivatives(*angles)
+            for off, du in ((1, d_mid), (2, d_last)):
+                slot = base + 3 * (n * c + q) + off
+                grads[slot] = 2.0 * float(np.real(env[c] @ du[:, 0]))
+        t = _contract_top(t, cols[:, q])
 
     grads /= signals.shape[0]
     if not np.isfinite(grads).all():

@@ -21,7 +21,7 @@ from hqcg import (
 )
 from hqcg.circuit import apply_param_circuit, rotation_matrix
 from hqcg.encoding import encode_rows
-from hqcg.qstate import Controlled, Single
+from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -107,6 +107,24 @@ def test_class_state_norm():
 def test_class_state_wrong_parameter_count():
     with pytest.raises(ShapeError):
         build_class_state(2, [0.0, 1.0])
+
+
+def test_class_state_matches_gate_by_gate_ansatz():
+    # Per-qubit rotations on |0...0>, then CNOT(k -> k+1 mod n) for
+    # k = 0..n-1; one qubit has no ring.
+    rng = np.random.default_rng(1)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    for n in range(1, 7):
+        for _ in range(3):
+            angles = rng.uniform(-np.pi, np.pi, 3 * n)
+            ref = zero_state(n)
+            for q in range(n):
+                ref = apply_gate(ref, Single(q, rotation_matrix(*angles[3 * q : 3 * q + 3])))
+            for k in range(n if n > 1 else 0):
+                ref = apply_gate(ref, Controlled(k, (k + 1) % n, x))
+            out = build_class_state(n, angles)
+            np.testing.assert_allclose(out.amplitudes, ref.amplitudes,
+                                       rtol=0, atol=1e-12)
 
 
 # --- model and forward ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 
+import hqcg.circuit
 from hqcg.cli import main
 
 SMALL_SYNTH = ["synth", "--classes", "3", "--len", "32", "--samples", "60",
@@ -298,3 +299,56 @@ def test_eval_split_all(tmp_path, capsys):
                  "--out", str(tmp_path / "ea")])
     assert code == 0
     assert "samples 60" in capsys.readouterr().out
+
+
+def test_predict_bad_top_exits_2_before_scoring(tmp_path, capsys, monkeypatch):
+    data_dir = _synth(tmp_path)
+    _, out_dir = _train(tmp_path, data_dir)
+    calls = []
+    monkeypatch.setattr(hqcg.circuit, "forward_batch",
+                        lambda *args, **kwargs: calls.append(args))
+    code = main(["predict", "--model-path", str(out_dir / "model.json"),
+                 "--data", str(data_dir), "--top", "0"])
+    assert code == 2
+    assert "--top" in capsys.readouterr().err
+    assert calls == []
+
+
+def _config_run(tmp_path, argv, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    return main(argv + ["--config", str(cfg)])
+
+
+def test_config_int_field_rejects_string_and_bool(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "r")] \
+        + SMALL_TRAIN
+    for value in ("2", True, 2.0):
+        assert _config_run(tmp_path, argv, {"epochs": value}) == 2
+        err = capsys.readouterr().err
+        assert "'epochs'" in err and "int" in err
+    assert not (tmp_path / "r" / "model.json").exists()
+
+
+def test_config_float_field_rejects_string(tmp_path, capsys):
+    argv = SMALL_SYNTH + ["--out", str(tmp_path / "d")]
+    assert _config_run(tmp_path, argv, {"noise-sigma": "0.3"}) == 2
+    err = capsys.readouterr().err
+    assert "'noise-sigma'" in err and "float" in err
+    assert not (tmp_path / "d").exists()
+    # an integer is a valid float and is stored as one
+    assert _config_run(tmp_path, argv, {"gain": 6, "noise-sigma": 0}) == 0
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["spec"]["noise_sigma"] == 0.0
+    assert isinstance(manifest["spec"]["template_gain"], float)
+
+
+def test_config_choices_field_rejects_unknown_value(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "r")] \
+        + SMALL_TRAIN
+    assert _config_run(tmp_path, argv, {"model": "svm"}) == 2
+    err = capsys.readouterr().err
+    assert "'model'" in err and "quantum, classical" in err
+    assert not (tmp_path / "r" / "model.json").exists()

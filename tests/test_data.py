@@ -9,7 +9,6 @@ from hqcg import (
     EmptyDatasetError,
     SyntheticSpec,
     generate_synthetic,
-    generate_twin_channel,
     load_dataset,
     save_dataset,
     split,
@@ -177,29 +176,3 @@ def test_linear_probe_learnability_at_unit_gain():
     labels = np.stack([s.labels for s in ds.samples]).astype(float)
     aucs = linear_probe_class_aucs(signals, labels)
     assert min(aucs) >= 0.95
-
-
-def test_twin_channel_shapes_and_concatenation():
-    spec = SyntheticSpec(num_classes=2, signal_len=32, num_samples=12, seed=9)
-    left, right, both = generate_twin_channel(spec)
-    assert left.signal_len == right.signal_len == 16
-    assert both.signal_len == 32
-    for sl, sr, sb in zip(left.samples, right.samples, both.samples):
-        assert sl.id == sr.id == sb.id
-        np.testing.assert_array_equal(sl.labels, sr.labels)
-        np.testing.assert_array_equal(sl.labels, sb.labels)
-        np.testing.assert_array_equal(sb.values, np.concatenate([sl.values,
-                                                                 sr.values]))
-    # channels draw independent noise
-    assert not np.array_equal(left.samples[0].values, right.samples[0].values)
-
-
-def test_twin_channel_determinism_and_odd_length():
-    spec = SyntheticSpec(num_classes=2, signal_len=32, num_samples=5, seed=9)
-    a = generate_twin_channel(spec)[2]
-    b = generate_twin_channel(spec)[2]
-    for sa, sb in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(sa.values, sb.values)
-    with pytest.raises(ConfigError):
-        generate_twin_channel(SyntheticSpec(num_classes=2, signal_len=31,
-                                            num_samples=2, region_size=7))
