@@ -45,38 +45,48 @@ PARAMS_PER_GATE = 3
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _rz(t: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * t), 0.0], [0.0, np.exp(0.5j * t)]], dtype=np.complex128
-    )
+def _rz_ry_rz(cos, sin, a, c) -> np.ndarray:
+    """Rz(c) @ [[cos, -sin], [sin, cos]] @ Rz(a), entry by entry, as (..., 2, 2).
+    Each entry takes the Rz(c) phase, then the Rz(a) phase, in the order of
+    the matrix product, so it rounds as that product does."""
+    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
+    u = np.empty(np.shape(cos) + (2, 2), dtype=np.complex128)
+    u[..., 0, 0] = cos * ec * ea
+    u[..., 0, 1] = -sin * ec * ea.conj()
+    u[..., 1, 0] = sin * ec.conj() * ea
+    u[..., 1, 1] = cos * ec.conj() * ea.conj()
+    return u
 
 
-def _ry(t: float) -> np.ndarray:
-    c, s = np.cos(0.5 * t), np.sin(0.5 * t)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+def _euler_parts(angles):
+    """cos(b/2), sin(b/2), a and c of a (..., 3) block of (a, b, c) rows."""
+    angles = np.asarray(angles, dtype=np.float64)
+    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
+    return np.cos(0.5 * b), np.sin(0.5 * b), a, c
 
 
-def _drz(t: float) -> np.ndarray:
-    return np.array(
-        [[-0.5j * np.exp(-0.5j * t), 0.0], [0.0, 0.5j * np.exp(0.5j * t)]],
-        dtype=np.complex128,
-    )
+def rotation_matrices(angles) -> np.ndarray:
+    """Rz(c) @ Ry(b) @ Rz(a) for every (a, b, c) row of a (..., 3) angle
+    block, as a (..., 2, 2) stack in closed form:
+    [[cos(b/2) e^{-i(a+c)/2}, -sin(b/2) e^{i(a-c)/2}],
+     [sin(b/2) e^{-i(a-c)/2},  cos(b/2) e^{i(a+c)/2}]]."""
+    return _rz_ry_rz(*_euler_parts(angles))
 
 
-def _dry(t: float) -> np.ndarray:
-    c, s = np.cos(0.5 * t), np.sin(0.5 * t)
-    return 0.5 * np.array([[-s, -c], [c, -s]], dtype=np.complex128)
+def rotation_derivatives(angles) -> np.ndarray:
+    """The (..., 3, 2, 2) stack of derivatives of ``rotation_matrices`` by
+    a, b and c: U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U."""
+    cos, sin, a, c = _euler_parts(angles)
+    u = _rz_ry_rz(cos, sin, a, c)
+    half = np.array([-0.5j, 0.5j])
+    # Ry'(b) = [[-sin/2, -cos/2], [cos/2, -sin/2]] has the shape of Ry
+    return np.stack([u * half, _rz_ry_rz(-0.5 * sin, 0.5 * cos, a, c),
+                     half[:, None] * u], axis=-3)
 
 
 def rotation_matrix(a: float, b: float, c: float) -> np.ndarray:
     """General single-qubit rotation Rz(c) @ Ry(b) @ Rz(a)."""
-    return _rz(c) @ _ry(b) @ _rz(a)
-
-
-def rotation_matrix_derivatives(a: float, b: float, c: float):
-    """Partial derivatives of rotation_matrix with respect to (a, b, c)."""
-    rza, ryb, rzc = _rz(a), _ry(b), _rz(c)
-    return (rzc @ ryb @ _drz(a), rzc @ _dry(b) @ rza, _drz(c) @ ryb @ rza)
+    return rotation_matrices((a, b, c))
 
 
 @dataclass(frozen=True)
@@ -175,13 +185,15 @@ def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
             f"parameter vector of length {len(theta)} too short for circuit "
             f"slots up to {circuit.param_offset + circuit.num_params - 1}"
         )
-    for gate in reversed(circuit.gates) if adjoint else circuit.gates:
-        i, j, k = gate.param_slot
-        u = rotation_matrix(theta[i], theta[j], theta[k])
+    gates = circuit.gates
+    mats = rotation_matrices(theta[[g.param_slot for g in gates]])
+    if adjoint:
+        gates, mats = gates[::-1], mats[::-1].conj().swapaxes(-1, -2)
+    for gate, u in zip(gates, mats):
         if trace is not None:
             trace.append(amps)
         amps = apply_controlled_matrix(amps, circuit.num_qubits, gate.control,
-                                       gate.target, u.conj().T if adjoint else u)
+                                       gate.target, u)
     return amps
 
 
@@ -214,8 +226,7 @@ def class_state_trace(num_qubits: int, angles):
             f"class state on {num_qubits} qubits needs {3 * num_qubits} angles "
             f"per class, got an array of shape {angles.shape}"
         )
-    cols = np.array([[rotation_matrix(*qubit)[:, 0] for qubit in row]
-                     for row in angles.reshape(len(angles), num_qubits, 3)])
+    cols = rotation_matrices(angles.reshape(len(angles), num_qubits, 3))[..., 0]
     product = cols[:, 0]
     for q in range(1, num_qubits):
         product = (cols[:, q, :, None] * product[:, None, :]).reshape(len(cols), -1)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import baseline, circuit, grad
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, \
-    save_dataset, split, stack_samples
+    save_dataset, split, stack_samples, write_atomic, write_json
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
@@ -60,9 +60,7 @@ def save_model(path, kind: str, model, meta: dict) -> None:
     doc = dict(meta)
     doc["kind"] = kind
     doc["theta"] = [float(v) for v in model.theta]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _require(doc: dict, field: str):
@@ -228,9 +226,7 @@ def cmd_eval(args) -> int:
             "loss": metrics.loss, "accuracy": metrics.accuracy,
             "auc": metrics.auc, "model": kind,
         }
-        with open(out / "metrics.json", "w") as fh:
-            json.dump(doc_out, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "metrics.json", doc_out)
     return EXIT_OK
 
 
@@ -257,7 +253,7 @@ def cmd_predict(args) -> int:
             sid + "," + ",".join(f"{v:.17g}" for v in row)
             for sid, row in zip(ids, probs)
         ]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        write_atomic(args.csv, lambda fh: fh.write("\n".join(lines) + "\n"))
         print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK
 

@@ -10,11 +10,16 @@ Each synthetic class owns a contiguous voxel block carrying a smooth
 half-cosine bump; a sample is the sum of its active class bumps plus iid
 Gaussian noise. Per-sample random streams are keyed by (master seed,
 sample index), so generation order does not matter.
+
+Every file the package writes goes through ``write_atomic``, so a failed
+write never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -127,6 +132,33 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return signals, labels, [s.id for s in samples]
 
 
+def write_atomic(path, write) -> None:
+    """Write ``path`` whole or not at all. ``write(fh)`` fills a new
+    temporary text file in the same directory, which is flushed to disk and
+    then renamed over ``path``. If anything fails, the temporary file is
+    removed and ``path`` keeps its earlier contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """``doc`` as indented JSON with sorted keys and a final newline,
+    written whole or not at all."""
+    def dump(fh):
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_atomic(path, dump)
+
+
 def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
     """Write dataset.csv and manifest.json into ``out_dir``; returns the paths."""
     out = Path(out_dir)
@@ -138,7 +170,7 @@ def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
         labels = ";".join(str(c) for c in s.active_classes())
         values = ",".join(f"{v:.17g}" for v in s.values)
         lines.append(f"{s.id},{labels},{values}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_atomic(csv_path, lambda fh: fh.write("\n".join(lines) + "\n"))
     manifest = {
         "num_classes": dataset.num_classes,
         "signal_len": dataset.signal_len,
@@ -147,7 +179,7 @@ def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
         "spec": asdict(spec) if spec is not None else None,
     }
     manifest_path = out / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
     return csv_path, manifest_path
 
 

@@ -16,7 +16,14 @@ G_{k+1}^dagger ... G_N^dagger phi_i, is an intermediate the pull-back
 recorded while computing the overlaps, and the ket is r_i pushed forward
 to gate k. The derivative of a controlled rotation is P1 (x) dU/dtheta
 (the plain two-term parameter-shift rule does not hold here because the
-controlled gate's generator has three eigenvalues).
+controlled gate's generator has three eigenvalues), so every angle of
+gate k reads the same 2x2 environment E_k of bra and ket, summed over
+classes and over the basis states with the control bit set:
+
+    <bra| P1 (x) dU |ket> = sum_ab dU[a, b] E_k[a, b],
+    E_k[a, b] = sum conj(bra[target bit = a]) ket[target bit = b],
+
+and no derivative is ever applied to a state.
 
 Class-state angles take xi_i = U r_i, the end of that forward sweep:
 dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class state is a fixed basis
@@ -42,11 +49,11 @@ from .circuit import (
     conj_overlaps,
     forward_batch,
     pull_back,
-    rotation_matrix_derivatives,
+    rotation_derivatives,
     _ring_permutation,
 )
 # perfbench/run.py traces encode_rows and both kernels through this
-# module's namespace
+# module's namespace; the gradient itself calls none of them
 from .encoding import encode_rows, row_norms  # noqa: F401
 from .errors import ConfigError, NumericError, ShapeError
 from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
@@ -76,6 +83,24 @@ def _forward_trace(model: HQCGModel, kets):
     amps = apply_param_circuit(kets, model.lqcg, model.theta, trace=pre_states)
     amps = apply_param_circuit(amps, model.gqcg, model.theta, trace=pre_states)
     return amps, model.lqcg.gates + model.gqcg.gates, pre_states
+
+
+def gate_environment(bra: np.ndarray, ket: np.ndarray, num_qubits: int,
+                     control: int, target: int) -> np.ndarray:
+    """E[a, b] = sum over rows and over basis states with bit ``control``
+    set of conj(bra[bit target = a]) * ket[bit target = b], so that
+    vdot(bra, P1 (x) M ket) = sum_ab M[a, b] E[a, b] for any 2x2 M."""
+    lo, hi = sorted((control, target))
+    # axes: rows, bits above hi, bit hi, bits between, bit lo, bits below lo
+    shape = (-1, 1 << (num_qubits - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
+    fix = (slice(None),) * (2 if control > target else 4) + (1,)
+    targ = 3 if control > target else 2  # the target axis once control is fixed
+
+    # bra and ket share one layout, so the order of the summed axes is free
+    def target_rows(amps):
+        return amps.reshape(shape)[fix].swapaxes(0, targ).reshape(2, -1)
+
+    return target_rows(bra).conj() @ target_rows(ket).T
 
 
 def _contract_top(amps: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -123,29 +148,27 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     grads = np.zeros(model.num_params)
 
     # Circuit parameters: the pull-back recorded the bras last gate first.
-    for gate, bra, pre in zip(gates, reversed(bras), pre_states):
-        angles = theta[list(gate.param_slot)]
-        for slot, du in zip(gate.param_slot, rotation_matrix_derivatives(*angles)):
-            dpsi = apply_controlled_matrix(pre, n, gate.control, gate.target,
-                                           du, keep_inactive=False)
-            grads[slot] = 2.0 * float(np.real(np.vdot(bra, dpsi)))
+    envs = np.stack([gate_environment(bra, pre, n, gate.control, gate.target)
+                     for gate, bra, pre in zip(gates, reversed(bras), pre_states)])
+    slots = [gate.param_slot for gate in gates]
+    grads[slots] = 2.0 * np.einsum("gjab,gab->gj", rotation_derivatives(theta[slots]),
+                                   envs).real
 
     # Class-state parameters: contract t = conj(xi)[P] down from the top
     # qubit; what is left above qubit q is already contracted, so e_iq needs
     # only the columns below it. Slot a, the Rz on |0>, stays 0.
     t = xi[:, _ring_permutation(n)].conj()
-    base = model.class_params_offset
+    # (C, n, 2, 2): the b and c derivatives of every class-state column
+    dcols = rotation_derivatives(class_angles.reshape(len(t), n, 3))[:, :, 1:, :, 0]
+    class_grads = np.zeros((len(t), n, 3))
     for q in reversed(range(n)):
         env = t.reshape(len(t), 2, -1)
         for p in reversed(range(q)):
             env = _contract_top(env, cols[:, p])
-        env = env[:, :, 0]
-        for c, angles in enumerate(class_angles[:, 3 * q : 3 * q + 3]):
-            _, d_mid, d_last = rotation_matrix_derivatives(*angles)
-            for off, du in ((1, d_mid), (2, d_last)):
-                slot = base + 3 * (n * c + q) + off
-                grads[slot] = 2.0 * float(np.real(env[c] @ du[:, 0]))
+        class_grads[:, q, 1:] = 2.0 * np.einsum("ca,cja->cj", env[:, :, 0],
+                                                dcols[:, q]).real
         t = _contract_top(t, cols[:, q])
+    grads[model.class_params_offset :] = class_grads.ravel()
 
     grads /= signals.shape[0]
     if not np.isfinite(grads).all():

@@ -12,7 +12,6 @@ outputs stay byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import stack_samples
+from .data import stack_samples, write_atomic, write_json
 from .errors import ConfigError, NumericError, ShapeError, UndefinedMetricError
 
 PROB_FLOOR = 1e-7  # BCE clamp: probabilities restricted to [floor, 1 - floor]
@@ -284,9 +283,7 @@ def write_metrics_json(report: TrainReport, path, config: dict | None = None) ->
         "num_records": len(report.records),
         "records": [asdict(r) for r in report.records],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def write_curves_csv(report: TrainReport, path) -> None:
@@ -297,5 +294,4 @@ def write_curves_csv(report: TrainReport, path) -> None:
                      f"{r.train_accuracy:.17g},{r.train_auc:.17g},{r.lr:.17g}")
         lines.append(f"{r.epoch},val,{r.val_loss:.17g},"
                      f"{r.val_accuracy:.17g},{r.val_auc:.17g},{r.lr:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))

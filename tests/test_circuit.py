@@ -19,7 +19,8 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, rotation_matrix
+from hqcg.circuit import apply_param_circuit, rotation_derivatives, \
+    rotation_matrices, rotation_matrix
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
@@ -29,6 +30,44 @@ S2 = 1.0 / np.sqrt(2.0)
 
 def _random_states(rng, n, count):
     return [Statevector(n, random_state_vector(rng, n)) for _ in range(count)]
+
+
+# --- gate matrices ------------------------------------------------------------
+
+
+def _rz(t):
+    return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+
+def _explicit_rotation(a, b, c):
+    ry = np.array([[np.cos(b / 2), -np.sin(b / 2)], [np.sin(b / 2), np.cos(b / 2)]])
+    return _rz(c) @ ry @ _rz(a)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 6, 3)])
+def test_rotation_matrices_match_explicit_product(shape):
+    rng = np.random.default_rng(31)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+    mats = rotation_matrices(angles)
+    assert mats.shape == shape[:-1] + (2, 2)
+    want = np.array([_explicit_rotation(*row) for row in angles.reshape(-1, 3)])
+    np.testing.assert_allclose(mats.reshape(-1, 2, 2), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rotation_matrix(*angles.reshape(-1, 3)[0]), want[0],
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 6, 3)])
+def test_rotation_derivatives_match_central_differences(shape):
+    rng = np.random.default_rng(32)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
+    stack = rotation_derivatives(angles)
+    assert stack.shape == shape[:-1] + (3, 2, 2)
+    eps = 1e-6
+    for j in range(3):
+        step = np.zeros(3)
+        step[j] = eps
+        fd = (rotation_matrices(angles + step) - rotation_matrices(angles - step)) / (2 * eps)
+        np.testing.assert_allclose(stack[..., j, :, :], fd, rtol=0, atol=1e-8)
 
 
 # --- layer construction -------------------------------------------------------

@@ -8,12 +8,16 @@ from hqcg import (
     DataFormatError,
     EmptyDatasetError,
     SyntheticSpec,
+    TrainReport,
+    build_model,
     generate_synthetic,
     load_dataset,
     save_dataset,
     split,
+    write_metrics_json,
 )
-from hqcg.data import class_templates
+from hqcg.cli import save_model
+from hqcg.data import class_templates, write_atomic
 from oracles import linear_probe_class_aucs
 
 
@@ -94,6 +98,29 @@ def test_save_is_byte_deterministic(tmp_path):
         (tmp_path / "b/dataset.csv").read_bytes()
     assert (tmp_path / "a/manifest.json").read_bytes() == \
         (tmp_path / "b/manifest.json").read_bytes()
+
+
+def _write_half_then_fail(fh):
+    fh.write('{"half": ')
+    raise RuntimeError("serialiser failed")
+
+
+@pytest.mark.parametrize("writer, error", [
+    (lambda path: write_atomic(path, _write_half_then_fail), RuntimeError),
+    # json.dump streams, so these fail after part of the document is written
+    (lambda path: save_model(path, "quantum", build_model(4, 2, 2), {"zz": object()}),
+     TypeError),
+    (lambda path: write_metrics_json(TrainReport(), path, config={"bad": object()}),
+     TypeError),
+], ids=["write_atomic", "save_model", "write_metrics_json"])
+def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path, writer, error):
+    path = tmp_path / "out.json"
+    save_model(path, "quantum", build_model(4, 2, 2), {"seed": 1})
+    before = path.read_bytes()
+    with pytest.raises(error):
+        writer(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_short_row_names_line(tmp_path):

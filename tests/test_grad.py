@@ -1,5 +1,7 @@
 """Gradient engine vs the finite-difference oracle and closed forms."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from hqcg import (
     loss_and_gradients,
     zero_state,
 )
-from hqcg.circuit import _ry
-from hqcg.qstate import Single, apply_gate, inner_product
+from hqcg.circuit import rotation_matrix
+from hqcg.grad import gate_environment
+from hqcg.qstate import Single, apply_controlled_matrix, apply_gate, inner_product
 from hqcg.train import PROB_FLOOR
 
 
@@ -38,7 +41,7 @@ def test_single_ry_closed_form():
     one = Statevector(1, [0, 1])
 
     def prob(t):
-        psi = apply_gate(zero_state(1), Single(0, _ry(t)))
+        psi = apply_gate(zero_state(1), Single(0, rotation_matrix(0.0, t, 0.0)))
         return abs(inner_product(psi, one)) ** 2
 
     t = np.pi / 2
@@ -163,12 +166,29 @@ def test_class_phase_slots_have_exactly_zero_gradient():
     assert (analytic[others] != 0.0).all()
 
 
+def test_gate_environment_matches_controlled_derivative_kernel():
+    # vdot(bra, P1 (x) M ket) computed by the kernel, for every ordered
+    # (control, target) pair: adjacent, distant, control above and below.
+    rng = np.random.default_rng(26)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for n in range(2, 7):
+        for control, target in itertools.permutations(range(n), 2):
+            bra, ket, m = cplx(3, 1 << n), cplx(3, 1 << n), cplx(2, 2)
+            want = np.vdot(bra, apply_controlled_matrix(ket, n, control, target, m,
+                                                        keep_inactive=False))
+            env = gate_environment(bra, ket, n, control, target)
+            assert abs(np.sum(m * env) - want) <= 1e-13 * abs(want), (n, control, target)
+
+
 def test_kernels_never_see_more_than_class_count_rows(monkeypatch):
     # The batch is folded into one ket per class before any gate runs, so
     # neither the row count nor the number of kernel calls grows with B.
-    # Class states are built without kernels: the gradient pulls back,
-    # pushes forward and differentiates each circuit gate three times, and
-    # the forward pass only pulls back.
+    # Class states are built without kernels, and gate derivatives are 2x2
+    # environment contractions: the gradient only pulls back and pushes
+    # forward through each circuit gate, and the forward pass only pulls back.
     seen = []
 
     def recording(kernel):
@@ -188,7 +208,7 @@ def test_kernels_never_see_more_than_class_count_rows(monkeypatch):
         signals, labels = _random_batch(rng, model, batch, 40)
         seen.clear()
         loss_and_gradients(model, signals, labels)
-        assert len(seen) == 5 * num_gates, batch
+        assert len(seen) == 2 * num_gates == 20, batch
         assert max(seen) <= model.num_classes, batch
         seen.clear()
         forward_batch(model, signals)
