@@ -11,6 +11,13 @@ when the control qubit is 1. Two layer constructions are built from it:
   representative; the same chain-plus-skip pattern is applied across the
   representatives.
 
+Both layers are chain-with-skip blocks on disjoint qubits, so the circuit
+factors exactly as U = G (V_{n/g-1} (x) ... (x) V_0): one 2^g x 2^g unitary
+per LQCG block and one 2^(n/g) x 2^(n/g) unitary G on the representatives.
+Each layer is built as that stack of fused block unitaries
+(``chain_unitaries``) and applied one dense block product at a time
+(``apply_param_circuit``); no gate is simulated on its own.
+
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring; the ring only permutes basis
 states, so they are built as permuted Kronecker products of single-qubit
@@ -31,7 +38,9 @@ import numpy as np
 from .encoding import encode_rows, row_norms  # noqa: F401
 from .errors import CapacityError, ConfigError, NumericError, ShapeError
 from .parallel import map_rows
-from .qstate import (
+# perfbench/run.py also traces apply_controlled_matrix through this
+# module's namespace; only the swap test runs qstate kernels here
+from .qstate import (  # noqa: F401
     MAX_QUBITS,
     Statevector,
     apply_controlled_matrix,
@@ -73,15 +82,16 @@ def rotation_matrices(angles) -> np.ndarray:
     return _rz_ry_rz(*_euler_parts(angles))
 
 
-def rotation_derivatives(angles) -> np.ndarray:
-    """The (..., 3, 2, 2) stack of derivatives of ``rotation_matrices`` by
-    a, b and c: U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U."""
+def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
+    """``rotation_matrices`` of a (..., 3) angle block together with the
+    (..., 3, 2, 2) stack of their derivatives by a, b and c:
+    U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U."""
     cos, sin, a, c = _euler_parts(angles)
     u = _rz_ry_rz(cos, sin, a, c)
     half = np.array([-0.5j, 0.5j])
     # Ry'(b) = [[-sin/2, -cos/2], [cos/2, -sin/2]] has the shape of Ry
-    return np.stack([u * half, _rz_ry_rz(-0.5 * sin, 0.5 * cos, a, c),
-                     half[:, None] * u], axis=-3)
+    return u, np.stack([u * half, _rz_ry_rz(-0.5 * sin, 0.5 * cos, a, c),
+                        half[:, None] * u], axis=-3)
 
 
 def rotation_matrix(a: float, b: float, c: float) -> np.ndarray:
@@ -106,27 +116,55 @@ class ParamGate:
 
 @dataclass(frozen=True)
 class ParamCircuit:
-    """Ordered trainable gates whose slots tile a contiguous parameter range."""
+    """Chain-with-skip blocks of trainable controlled rotations.
+
+    A block over qubits (q_0, ..., q_{k-1}) runs CU(q_0 -> q_1), ...,
+    CU(q_{k-2} -> q_{k-1}) and closes with the skip gate CU(q_{k-1} -> q_0).
+    The blocks share one width k and no qubit, so they commute. The gates
+    own consecutive slot triples from ``param_offset`` on, block 0 first,
+    in the order they run.
+    """
 
     num_qubits: int
-    gates: tuple[ParamGate, ...]
+    blocks: tuple[tuple[int, ...], ...]
     param_offset: int
 
     def __post_init__(self):
-        slots = [s for g in self.gates for s in g.param_slot]
-        want = list(range(self.param_offset, self.param_offset + len(slots)))
-        if sorted(slots) != want:
-            raise ConfigError("parameter slots must tile a contiguous range")
-        for g in self.gates:
-            if not (0 <= g.control < self.num_qubits and 0 <= g.target < self.num_qubits):
-                raise ConfigError(f"gate {g} out of range for width {self.num_qubits}")
+        qubits = [q for block in self.blocks for q in block]
+        if not self.blocks or {len(b) for b in self.blocks} != {len(self.blocks[0])} \
+                or len(self.blocks[0]) < 2:
+            raise ConfigError(f"blocks must share one width of at least 2: {self.blocks}")
+        if len(set(qubits)) != len(qubits) or not all(0 <= q < self.num_qubits
+                                                      for q in qubits):
+            raise ConfigError(f"blocks {self.blocks} must hold distinct qubits "
+                              f"of a width-{self.num_qubits} register")
+
+    @property
+    def width(self) -> int:
+        return len(self.blocks[0])
+
+    @property
+    def gates(self) -> tuple[ParamGate, ...]:
+        pairs = [(block[j], block[(j + 1) % len(block)])
+                 for block in self.blocks for j in range(len(block))]
+        s = self.param_offset
+        return tuple(ParamGate(c, t, (s + 3 * i, s + 3 * i + 1, s + 3 * i + 2))
+                     for i, (c, t) in enumerate(pairs))
 
     @property
     def num_params(self) -> int:
-        return PARAMS_PER_GATE * len(self.gates)
+        return PARAMS_PER_GATE * len(self.blocks) * self.width
+
+    def angles(self, theta: np.ndarray) -> np.ndarray:
+        """The layer's angles in ``theta`` as a (blocks, k, 3) array."""
+        end = self.param_offset + self.num_params
+        if end > len(theta):
+            raise ShapeError(f"parameter vector of length {len(theta)} too short "
+                             f"for circuit slots up to {end - 1}")
+        return theta[self.param_offset : end].reshape(len(self.blocks), self.width, 3)
 
 
-def _groups(num_qubits: int, group_size: int) -> list[list[int]]:
+def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
     """The contiguous qubit blocks of size ``group_size``."""
     if group_size < 2:
         raise ConfigError(f"group size must be >= 2, got {group_size}")
@@ -134,16 +172,8 @@ def _groups(num_qubits: int, group_size: int) -> list[list[int]]:
         raise ConfigError(
             f"group size {group_size} does not divide qubit count {num_qubits}"
         )
-    return [list(range(start, start + group_size))
+    return [tuple(range(start, start + group_size))
             for start in range(0, num_qubits, group_size)]
-
-
-def _chain_with_skip(qubits: list[int], slot: int) -> list[ParamGate]:
-    """CU(q_k -> q_k+1) along ``qubits``, then the skip gate CU(last -> first),
-    owning consecutive parameter slots from ``slot`` on."""
-    pairs = list(zip(qubits, qubits[1:])) + [(qubits[-1], qubits[0])]
-    return [ParamGate(c, t, (s, s + 1, s + 2))
-            for (c, t), s in zip(pairs, range(slot, slot + 3 * len(pairs), 3))]
 
 
 def build_lqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
@@ -152,10 +182,7 @@ def build_lqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
     Produces exactly ``num_qubits`` gates (g per block, n/g blocks) and
     3 * num_qubits new parameters.
     """
-    gates = []
-    for block in _groups(num_qubits, group_size):
-        gates += _chain_with_skip(block, param_offset + PARAMS_PER_GATE * len(gates))
-    return ParamCircuit(num_qubits, tuple(gates), param_offset)
+    return ParamCircuit(num_qubits, tuple(_groups(num_qubits, group_size)), param_offset)
 
 
 def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
@@ -170,31 +197,83 @@ def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
             "global layer needs at least two qubit groups "
             f"(got {len(groups)} group of size {group_size})"
         )
-    gates = _chain_with_skip([block[-1] for block in groups], param_offset)
-    return ParamCircuit(num_qubits, tuple(gates), param_offset)
+    return ParamCircuit(num_qubits, (tuple(block[-1] for block in groups),), param_offset)
+
+
+# --- fused blocks -------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def chain_rows(width: int):
+    """The gates CU(j -> j+1 mod width) of a chain-with-skip over ``width``
+    local qubits as (width, 2^width) index arrays over the basis rows:
+    whether the control bit is set, the target bit, and the row with the
+    target bit flipped."""
+    rows = np.arange(1 << width)
+    control = np.arange(width)[:, None]
+    target = (control + 1) % width
+    return (rows >> control) & 1 == 1, (rows >> target) & 1, rows ^ (1 << target)
+
+
+def chain_gates(mats: np.ndarray, identity: float = 1.0):
+    """Every gate of chain-with-skip blocks as (diag, off), each (..., k, 2^k),
+    from (..., k, 2, 2) matrices: row x of gate j, P0 (x) I + P1 (x) U_j,
+    holds diag[j, x] in column x and off[j, x] in column x ^ (1 << target),
+    and nothing else. With ``identity=0`` derivative matrices give the
+    derivatives P1 (x) dU_j."""
+    on, bit, _ = chain_rows(mats.shape[-3])
+    gate = np.arange(len(bit))[:, None]
+    return (np.where(on, mats[..., gate, bit, bit], identity),
+            np.where(on, mats[..., gate, bit, 1 - bit], 0.0))
+
+
+def chain_unitaries(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The fused unitaries H_{k-1} ... H_0 of chain-with-skip blocks as a
+    (blocks, 2^k, 2^k) stack, from their ``chain_gates``. Each gate mixes
+    pairs of rows of the running product."""
+    flip = chain_rows(diag.shape[1])[2]
+    fused = np.eye(diag.shape[2], dtype=np.complex128)
+    for j in range(len(flip)):
+        fused = diag[:, j, :, None] * fused + off[:, j, :, None] * fused[..., flip[j], :]
+    return fused
+
+
+@lru_cache(maxsize=64)
+def layer_axes(circuit: ParamCircuit):
+    """Axis orders of the (rows, 2, ..., 2) amplitude tensor, qubit q on axis
+    n - q, between which a layer runs. The first puts the blocks on top, the
+    last block highest and each block's first qubit lowest, and the qubits
+    outside the blocks below them. The second, as an inverse permutation,
+    brings back the natural order from the outer qubits on top of the blocks,
+    where the block sweep of ``apply_param_circuit`` leaves them."""
+    n = circuit.num_qubits
+    inner = [q for block in reversed(circuit.blocks) for q in reversed(block)]
+    outer = [q for q in reversed(range(n)) if q not in inner]
+    return (0, *(n - q for q in inner + outer)), \
+        tuple(np.argsort((0, *(n - q for q in outer + inner))))
 
 
 def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
                         theta: np.ndarray, *, adjoint: bool = False,
-                        trace: list | None = None) -> np.ndarray:
-    """Run the circuit, or with ``adjoint`` its inverse, over raw amplitudes
-    (batched over leading axes). A ``trace`` list receives the state in
-    front of every gate, in the order the gates are applied."""
-    if circuit.param_offset + circuit.num_params > len(theta):
-        raise ShapeError(
-            f"parameter vector of length {len(theta)} too short for circuit "
-            f"slots up to {circuit.param_offset + circuit.num_params - 1}"
-        )
-    gates = circuit.gates
-    mats = rotation_matrices(theta[[g.param_slot for g in gates]])
-    if adjoint:
-        gates, mats = gates[::-1], mats[::-1].conj().swapaxes(-1, -2)
-    for gate, u in zip(gates, mats):
-        if trace is not None:
-            trace.append(amps)
-        amps = apply_controlled_matrix(amps, circuit.num_qubits, gate.control,
-                                       gate.target, u)
-    return amps
+                        unitaries: np.ndarray | None = None) -> np.ndarray:
+    """Run the layer, or with ``adjoint`` its inverse, over raw amplitudes
+    (batched over leading axes), one fused block unitary at a time.
+    ``unitaries`` is the layer's ``chain_unitaries`` stack if the caller has
+    built it from ``theta`` already.
+
+    In the first order of ``layer_axes`` the top block is one (2^k, 2^k)
+    product on every row; the product leaves that block at the bottom, so
+    the next block comes on top."""
+    if unitaries is None:
+        unitaries = chain_unitaries(*chain_gates(rotation_matrices(circuit.angles(theta))))
+    # right factors: V^T, or conj(V) = (V^dagger)^T for the adjoint
+    right = unitaries.conj() if adjoint else unitaries.swapaxes(-1, -2)
+    n, k = circuit.num_qubits, circuit.width
+    into, back = layer_axes(circuit)
+    x = amps.reshape((-1,) + (2,) * n).transpose(into).reshape(-1, 1 << k, (1 << n) >> k)
+    for v in right[::-1]:
+        x = (x.swapaxes(1, 2) @ v).reshape(x.shape)
+    return x.reshape((-1,) + (2,) * n).transpose(back).reshape(amps.shape)
 
 
 # --- learnable class states ---------------------------------------------------
@@ -212,9 +291,19 @@ def _ring_permutation(num_qubits: int) -> np.ndarray:
     return idx
 
 
-def class_state_trace(num_qubits: int, angles):
+@lru_cache(maxsize=64)
+def _ring_preimage(num_qubits: int) -> np.ndarray:
+    """Preimage of every basis index under the CNOT ring, so that the ring
+    permutes a state by a gather rather than a scatter."""
+    idx = np.argsort(_ring_permutation(num_qubits))
+    idx.setflags(write=False)
+    return idx
+
+
+def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None):
     """Class states from a (C, 3n) block of angles, one row per class, plus
-    the (C, n, 2) single-qubit columns u_q|0> they are built from.
+    the (C, n, 2) single-qubit columns u_q|0> they are built from. ``cols``
+    are those columns if the caller has computed them from ``angles``.
 
     The ansatz puts each qubit in u_q|0> and closes with a CNOT ring. The
     ring only permutes basis states, so each class state is that
@@ -226,13 +315,12 @@ def class_state_trace(num_qubits: int, angles):
             f"class state on {num_qubits} qubits needs {3 * num_qubits} angles "
             f"per class, got an array of shape {angles.shape}"
         )
-    cols = rotation_matrices(angles.reshape(len(angles), num_qubits, 3))[..., 0]
+    if cols is None:
+        cols = rotation_matrices(angles.reshape(len(angles), num_qubits, 3))[..., 0]
     product = cols[:, 0]
     for q in range(1, num_qubits):
         product = (cols[:, q, :, None] * product[:, None, :]).reshape(len(cols), -1)
-    states = np.empty_like(product)
-    states[:, _ring_permutation(num_qubits)] = product
-    return states, cols
+    return np.take(product, _ring_preimage(num_qubits), axis=1), cols
 
 
 def build_class_state(num_qubits: int, class_params) -> Statevector:
@@ -308,20 +396,32 @@ def build_model(num_qubits: int, group_size: int, num_classes: int,
     return HQCGModel(num_qubits, group_size, num_classes, lqcg, gqcg, theta)
 
 
-def class_state_matrix(model: HQCGModel) -> np.ndarray:
-    """All class states stacked as a (num_classes, 2^n) matrix."""
-    return class_state_trace(model.num_qubits, model.class_angle_block())[0]
+def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> np.ndarray:
+    """All class states stacked as a (num_classes, 2^n) matrix; ``cols`` as
+    in ``class_state_trace``."""
+    return class_state_trace(model.num_qubits, model.class_angle_block(), cols=cols)[0]
 
 
-def pull_back(model: HQCGModel, class_states: np.ndarray,
-              trace: list | None = None) -> np.ndarray:
-    """W = U^dagger Phi: the (C, 2^n) class states swept back through GQCG,
-    then LQCG, with conjugate-transposed gates. ``trace`` receives the
-    states in front of every undone gate (last circuit gate first)."""
-    amps = apply_param_circuit(class_states, model.gqcg, model.theta,
-                               adjoint=True, trace=trace)
-    return apply_param_circuit(amps, model.lqcg, model.theta, adjoint=True,
-                               trace=trace)
+def split_triples(model: HQCGModel, rows: np.ndarray):
+    """The LQCG, GQCG and class-state parts of an array with one entry per
+    (a, b, c) triple of ``model.theta``, shaped (blocks, k, ...) for the
+    layers and (C, n, ...) for the class states."""
+    lo, hi = model.lqcg.num_params // 3, model.class_params_offset // 3
+    return tuple(part.reshape(shape + part.shape[1:]) for part, shape in (
+        (rows[:lo], (len(model.lqcg.blocks), model.lqcg.width)),
+        (rows[lo:hi], (len(model.gqcg.blocks), model.gqcg.width)),
+        (rows[hi:], (model.num_classes, model.num_qubits))))
+
+
+def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries=(None, None)):
+    """(G^dagger Phi, U^dagger Phi): the (C, 2^n) class states swept back
+    through GQCG, then through LQCG, with conjugate-transposed fused blocks.
+    ``unitaries`` holds the (LQCG, GQCG) ``chain_unitaries`` stacks if the
+    caller has built them from ``model.theta``."""
+    beta = apply_param_circuit(class_states, model.gqcg, model.theta, adjoint=True,
+                               unitaries=unitaries[1])
+    return beta, apply_param_circuit(beta, model.lqcg, model.theta, adjoint=True,
+                                     unitaries=unitaries[0])
 
 
 def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
@@ -347,7 +447,10 @@ def forward_batch(model: HQCGModel, signals, threads: int | None = None) -> np.n
     if not np.isfinite(model.theta).all():
         raise NumericError("non-finite model parameters")
     signals = np.asarray(signals, dtype=np.float64)
-    pulled = pull_back(model, class_state_matrix(model))
+    *layers, classes = split_triples(model, rotation_matrices(model.theta.reshape(-1, 3)))
+    states = class_state_matrix(model, cols=classes[..., 0])
+    unitaries = [chain_unitaries(*chain_gates(mats)) for mats in layers]
+    pulled = pull_back(model, states, unitaries)[1]
 
     def probs_chunk(chunk):
         re, im = conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled)

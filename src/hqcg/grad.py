@@ -1,38 +1,45 @@
-"""Exact loss gradients by an adjoint sweep over the class states.
+"""Exact loss gradients from block environments of the fused circuit.
 
 The score of class i on sample s is p_si = |a_si|^2 with
-a_si = <phi_i|U|x_s> = <w_i|x_s>, where U is LQCG followed by GQCG and
-w_i = U^dagger phi_i is class state i pulled back through the circuit
-(``circuit.pull_back``). With c_si = dL_s/dp_si, the derivative of the
-batch loss by the angle of gate k, U = G_N ... G_1, is
+a_si = <phi_i|U|x_s> = <w_i|x_s>, where w_i = U^dagger phi_i is class state
+i pulled back through the circuit (``circuit.pull_back``). The circuit
+factors exactly as U = G V: LQCG is V = V_{m-1} (x) ... (x) V_0, one
+2^g x 2^g unitary per qubit block, and GQCG is one 2^m x 2^m unitary G on
+the m = n/g block tops. With c_si = dL_s/dp_si,
 
-    dL/dtheta = (2/B) Re sum_i <phi_i| G_N ... dG_k ... G_1 |r_i>,
+    dL/dtheta = (2/B) Re sum_i <phi_i| dU |r_i>,
     r_i = sum_s c_si conj(a_si) |x_s>,
 
-so the batch folds into C kets before any gate is applied. The adjoint
-sweep of Jones & Gacon 2020 (arXiv:2009.02823) then runs over the C pairs
-(phi_i, r_i) instead of the B samples: the bra at gate k,
-G_{k+1}^dagger ... G_N^dagger phi_i, is an intermediate the pull-back
-recorded while computing the overlaps, and the ket is r_i pushed forward
-to gate k. The derivative of a controlled rotation is P1 (x) dU/dtheta
-(the plain two-term parameter-shift rule does not hold here because the
-controlled gate's generator has three eigenvalues), so every angle of
-gate k reads the same 2x2 environment E_k of bra and ket, summed over
-classes and over the basis states with the control bit set:
+so the batch folds into C kets before any layer runs, and the adjoint
+method of Jones & Gacon 2020 (arXiv:2009.02823) runs over the C pairs
+(phi_i, r_i) instead of the B samples. Six (C, 2^n) arrays carry the whole
+step, however many gates there are: phi, beta = G^dagger phi and
+w = V^dagger beta from the pull-back, and r, u = V r and xi = G u from the
+forward push (``_forward_trace``).
 
-    <bra| P1 (x) dU |ket> = sum_ab dU[a, b] E_k[a, b],
-    E_k[a, b] = sum conj(bra[target bit = a]) ket[target bit = b],
+An angle of block b of LQCG gives <beta| I (x) dV_b |r> =
+<w| I (x) V_b^dagger dV_b |r>, and an angle of GQCG gives
+<beta| G^dagger dG |u>. Both read one block environment
 
-and no derivative is ever applied to a state.
+    E[a, c] = sum conj(bra[block = a]) ket[block = c],
 
-Class-state angles take xi_i = U r_i, the end of that forward sweep:
-dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class state is a fixed basis
-permutation P of a product of single-qubit columns u_q|0>
-(``circuit.class_state_trace``), so with t_i = conj(xi_i)[P] the
-derivative by an angle of qubit q is the 2-vector e_iq, t_i contracted
-against the other n-1 columns of class i, dotted with the derivative of
-column q. The first angle of every column's rotation is an Rz acting on
-|0>, a global phase, so its gradient is exactly zero.
+summed over classes and over the qubits outside the block, as
+<bra| I (x) X |ket> = sum_ac X[a, c] E[a, c]. Inside the block, with
+H_j the j-th gate, F_0 = E^T and F_{j+1} = H_j F_j H_j^dagger, that sum
+is tr(dH_j F_j H_j^dagger) for an angle of gate j, where
+dH_j = P1 (x) dU_j. Only 2^k x 2^k matrices enter this sweep, and no
+derivative is ever applied to a state.
+
+Class-state angles take dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class
+state is a fixed basis permutation P of a product of single-qubit columns
+u_q|0> (``circuit.class_state_trace``), so with t_i = conj(xi_i)[P] the
+derivative by an angle of qubit q is t_i contracted against the other n-1
+columns of class i, dotted with the derivative of column q. The qubits
+split into a low and a high half: t_i contracted against the Kronecker
+product of one half's columns leaves the other half's residual, and the
+leave-one-out products of that half's columns finish the contraction. The
+first angle of every column's rotation is an Rz acting on |0>, a global
+phase, so its gradient is exactly zero.
 
 Batch reductions are fixed-shape matrix products, so reruns give
 bit-for-bit identical gradients.
@@ -44,12 +51,18 @@ import numpy as np
 
 from .circuit import (
     HQCGModel,
+    ParamCircuit,
     apply_param_circuit,
+    chain_gates,
+    chain_rows,
+    chain_unitaries,
     class_state_trace,
     conj_overlaps,
     forward_batch,
+    layer_axes,
     pull_back,
-    rotation_derivatives,
+    rotations,
+    split_triples,
     _ring_permutation,
 )
 # perfbench/run.py traces encode_rows and both kernels through this
@@ -76,39 +89,93 @@ def _check_batch(model: HQCGModel, signals, labels):
     return signals, labels
 
 
-def _forward_trace(model: HQCGModel, kets):
-    """The folded (C, 2^n) kets pushed through both layers, recording the
-    state in front of every gate."""
-    pre_states = []
-    amps = apply_param_circuit(kets, model.lqcg, model.theta, trace=pre_states)
-    amps = apply_param_circuit(amps, model.gqcg, model.theta, trace=pre_states)
-    return amps, model.lqcg.gates + model.gqcg.gates, pre_states
+def _forward_trace(model: HQCGModel, kets, unitaries=(None, None)):
+    """The folded (C, 2^n) kets r pushed through LQCG, u = V r, and then
+    through GQCG, xi = G u, with the states the gradient keeps from this
+    sweep. ``unitaries`` is as in ``circuit.pull_back``."""
+    u = apply_param_circuit(kets, model.lqcg, model.theta, unitaries=unitaries[0])
+    xi = apply_param_circuit(u, model.gqcg, model.theta, unitaries=unitaries[1])
+    return u, xi, [kets, u, xi]
 
 
-def gate_environment(bra: np.ndarray, ket: np.ndarray, num_qubits: int,
-                     control: int, target: int) -> np.ndarray:
-    """E[a, b] = sum over rows and over basis states with bit ``control``
-    set of conj(bra[bit target = a]) * ket[bit target = b], so that
-    vdot(bra, P1 (x) M ket) = sum_ab M[a, b] E[a, b] for any 2x2 M."""
-    lo, hi = sorted((control, target))
-    # axes: rows, bits above hi, bit hi, bits between, bit lo, bits below lo
-    shape = (-1, 1 << (num_qubits - 1 - hi), 2, (1 << hi) >> (lo + 1), 2, 1 << lo)
-    fix = (slice(None),) * (2 if control > target else 4) + (1,)
-    targ = 3 if control > target else 2  # the target axis once control is fixed
+def block_environments(bra: np.ndarray, ket: np.ndarray,
+                       circuit: ParamCircuit) -> np.ndarray:
+    """E_b[a, c] = sum conj(bra[block b = a]) ket[block b = c] over rows and
+    over the qubits outside block b, for every block of the layer, as a
+    (blocks, 2^k, 2^k) stack: <bra| I (x) X |ket> = sum_ac X[a, c] E_b[a, c]
+    for X on block b, with local qubit j of the block on bit j of a and c."""
+    n, k = circuit.num_qubits, circuit.width
+    into = layer_axes(circuit)[0]
 
-    # bra and ket share one layout, so the order of the summed axes is free
-    def target_rows(amps):
-        return amps.reshape(shape)[fix].swapaxes(0, targ).reshape(2, -1)
+    def layer_order(amps):
+        return amps.reshape((-1,) + (2,) * n).transpose(into)
 
-    return target_rows(bra).conj() @ target_rows(ket).T
+    bra = np.conjugate(layer_order(bra), order="C")
+    ket = np.ascontiguousarray(layer_order(ket))
+    envs = []
+    for b in range(len(circuit.blocks)):
+        # below block b: blocks b-1, ..., 0 and the outer qubits
+        shape = (-1, 1 << k, (1 << n) >> (k * (len(circuit.blocks) - b)))
+        envs.append(np.tensordot(bra.reshape(shape), ket.reshape(shape),
+                                 axes=([0, 2], [0, 2])))
+    return np.stack(envs)
 
 
-def _contract_top(amps: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Contract the top bit of the last axis of (C, ..., 2^k) ``amps`` with
-    the per-class (C, 2) ``cols``."""
-    half = amps.shape[-1] // 2
-    cols = cols.reshape((len(cols),) + (1,) * (amps.ndim - 1) + (2,))
-    return cols[..., 0] * amps[..., :half] + cols[..., 1] * amps[..., half:]
+def chain_gradients(envs: np.ndarray, gates, dgates) -> np.ndarray:
+    """Re tr(V_b^dagger dV_b E_b^T) by every angle of chain-with-skip blocks,
+    as a (blocks, k, 3) array, from the block environments E_b, the blocks'
+    ``chain_gates`` and the ``chain_gates`` of their (blocks, 3, k, 2, 2)
+    derivative matrices.
+
+    With F_0 = E^T and F_{j+1} = H_j F_j H_j^dagger, an angle of gate j
+    gives tr(dH_j Y_j), Y_j = F_j H_j^dagger. dH_j = P1 (x) dU_j has entries
+    only on the diagonal and in the target-flipped column of each row, so
+    the trace reads Y_j[x, x] and Y_j[flip x, x]."""
+    (diag, off), (ddiag, doff) = gates, dgates
+    blocks, width, dim = diag.shape
+    rows = np.arange(dim)
+    flip = chain_rows(width)[2]
+    f = envs.swapaxes(-1, -2)
+    diag_h, off_h = diag.conj()[:, :, None, :], off.conj()[:, :, None, :]
+    y_diag = np.empty_like(diag)
+    y_flip = np.empty_like(diag)
+    for j in range(width):
+        y = f * diag_h[:, j] + f[..., flip[j]] * off_h[:, j]
+        y_diag[:, j] = y[:, rows, rows]
+        y_flip[:, j] = y[:, flip[j], rows]
+        f = diag[:, j, :, None] * y + off[:, j, :, None] * y[:, flip[j]]
+    return (np.einsum("bdjx,bjx->bjd", ddiag, y_diag)
+            + np.einsum("bdjx,bjx->bjd", doff, y_flip)).real
+
+
+def _leave_one_out(factors: np.ndarray) -> np.ndarray:
+    """Products over axis 1 of a (C, m, Y) array that each leave one entry out."""
+    ones = np.ones_like(factors[:, :1])
+    before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)
+    return before * after[:, ::-1]
+
+
+def class_gradients(xi: np.ndarray, cols: np.ndarray, dcols: np.ndarray) -> np.ndarray:
+    """Re <xi_i|d phi_i> by the b and c angles of every class column, as a
+    (C, n, 2) array, from the (C, n, 2) columns and their (C, n, 2, 2) b and
+    c derivatives."""
+    classes, n = cols.shape[:2]
+    low = n // 2
+    t = np.take(xi, _ring_permutation(n), axis=1).conj().reshape(classes, -1, 1 << low)
+    both = np.concatenate([cols[..., None], dcols.swapaxes(-1, -2)], axis=-1)
+    halves = []
+    for first, end in ((0, low), (low, n)):
+        bits = (np.arange(1 << (end - first))[:, None] >> np.arange(end - first)) & 1
+        # [c, q, y]: column q of the half and its derivatives at bit q of y
+        halves.append(both[:, np.arange(first, end)[:, None], bits.T])
+    kron_low, kron_high = (half[..., 0].prod(axis=1) for half in halves)
+    residuals = (np.einsum("chl,ch->cl", t, kron_high),
+                 np.einsum("chl,cl->ch", t, kron_low))
+    return np.concatenate([
+        np.einsum("cy,cqy,cqyj->cqj", residual, _leave_one_out(half[..., 0]),
+                  half[..., 1:]).real
+        for half, residual in zip(halves, residuals)], axis=1)
 
 
 def batch_loss(model: HQCGModel, signals, labels) -> float:
@@ -121,13 +188,18 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     """(mean batch BCE, exact gradient w.r.t. every model parameter)."""
     signals, labels = _check_batch(model, signals, labels)
     n = model.num_qubits
-    theta = model.theta
+    # every gate matrix, class column and derivative in one closed-form call
+    mats, dmats = rotations(model.theta.reshape(-1, 3))
+    *layer_mats, class_mats = split_triples(model, mats)
+    *layer_dmats, class_dmats = split_triples(model, dmats)
+    gates = [chain_gates(m) for m in layer_mats]
+    dgates = [chain_gates(d.swapaxes(1, 2), identity=0.0) for d in layer_dmats]
+    unitaries = [chain_unitaries(*g) for g in gates]
 
     norms = row_norms(signals, n)
-    class_angles = model.class_angle_block()
-    states, cols = class_state_trace(n, class_angles)
-    bras = []
-    pulled = pull_back(model, states, trace=bras)
+    states, cols = class_state_trace(n, model.class_angle_block(),
+                                     cols=class_mats[..., 0])
+    beta, pulled = pull_back(model, states, unitaries)
     re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
     probs = re * re + im * im
     losses = bce_rows(probs, labels)
@@ -144,33 +216,21 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     folded = np.concatenate([scale * re, scale * im], axis=1).T @ signals
     kets = np.zeros_like(pulled)
     kets[:, : signals.shape[1]] = folded[: len(kets)] + 1j * folded[len(kets) :]
-    xi, gates, pre_states = _forward_trace(model, kets)
+    u, xi, _ = _forward_trace(model, kets, unitaries)
+
     grads = np.zeros(model.num_params)
-
-    # Circuit parameters: the pull-back recorded the bras last gate first.
-    envs = np.stack([gate_environment(bra, pre, n, gate.control, gate.target)
-                     for gate, bra, pre in zip(gates, reversed(bras), pre_states)])
-    slots = [gate.param_slot for gate in gates]
-    grads[slots] = 2.0 * np.einsum("gjab,gab->gj", rotation_derivatives(theta[slots]),
-                                   envs).real
-
-    # Class-state parameters: contract t = conj(xi)[P] down from the top
-    # qubit; what is left above qubit q is already contracted, so e_iq needs
-    # only the columns below it. Slot a, the Rz on |0>, stays 0.
-    t = xi[:, _ring_permutation(n)].conj()
+    offset = model.lqcg.num_params
+    grads[:offset] = chain_gradients(block_environments(pulled, kets, model.lqcg),
+                                     gates[0], dgates[0]).ravel()
+    grads[offset : model.class_params_offset] = chain_gradients(
+        block_environments(beta, u, model.gqcg), gates[1], dgates[1]).ravel()
+    # slot a of every class column, the Rz on |0>, stays 0
+    class_grads = np.zeros((model.num_classes, n, 3))
     # (C, n, 2, 2): the b and c derivatives of every class-state column
-    dcols = rotation_derivatives(class_angles.reshape(len(t), n, 3))[:, :, 1:, :, 0]
-    class_grads = np.zeros((len(t), n, 3))
-    for q in reversed(range(n)):
-        env = t.reshape(len(t), 2, -1)
-        for p in reversed(range(q)):
-            env = _contract_top(env, cols[:, p])
-        class_grads[:, q, 1:] = 2.0 * np.einsum("ca,cja->cj", env[:, :, 0],
-                                                dcols[:, q]).real
-        t = _contract_top(t, cols[:, q])
+    class_grads[:, :, 1:] = class_gradients(xi, cols, class_dmats[:, :, 1:, :, 0])
     grads[model.class_params_offset :] = class_grads.ravel()
 
-    grads /= signals.shape[0]
+    grads *= 2.0 / signals.shape[0]
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads

@@ -170,17 +170,11 @@ def _controlled_pairs(num_qubits: int, control: int, target: int):
 
 
 def apply_controlled_matrix(amps: np.ndarray, num_qubits: int, control: int,
-                            target: int, matrix: np.ndarray,
-                            keep_inactive: bool = True) -> np.ndarray:
-    """Apply ``matrix`` to ``target`` on the control=1 subspace.
-
-    With ``keep_inactive`` the control=0 amplitudes pass through untouched
-    (a controlled gate); without it they are zeroed, which implements the
-    parameter derivative of a controlled gate, d/dt [P0 (x) I + P1 (x) U(t)]
-    = P1 (x) dU/dt.
-    """
+                            target: int, matrix: np.ndarray) -> np.ndarray:
+    """Apply ``matrix`` to ``target`` on the control=1 subspace; the
+    control=0 amplitudes pass through untouched."""
     lo, hi = _controlled_pairs(num_qubits, control, target)
-    out = amps.copy() if keep_inactive else np.zeros_like(amps)
+    out = amps.copy()
     a0 = amps[..., lo]
     a1 = amps[..., hi]
     out[..., lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1

@@ -19,8 +19,8 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, rotation_derivatives, \
-    rotation_matrices, rotation_matrix
+from hqcg.circuit import apply_param_circuit, rotation_matrices, rotation_matrix, \
+    rotations
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
@@ -60,7 +60,8 @@ def test_rotation_matrices_match_explicit_product(shape):
 def test_rotation_derivatives_match_central_differences(shape):
     rng = np.random.default_rng(32)
     angles = rng.uniform(-2 * np.pi, 2 * np.pi, shape)
-    stack = rotation_derivatives(angles)
+    mats, stack = rotations(angles)
+    np.testing.assert_array_equal(mats, rotation_matrices(angles))
     assert stack.shape == shape[:-1] + (3, 2, 2)
     eps = 1e-6
     for j in range(3):

@@ -7,6 +7,7 @@ import pytest
 
 import hqcg.circuit
 import hqcg.grad
+import hqcg.qstate
 from hqcg import (
     ConfigError,
     NumericError,
@@ -19,9 +20,11 @@ from hqcg import (
     loss_and_gradients,
     zero_state,
 )
-from hqcg.circuit import rotation_matrix
-from hqcg.grad import gate_environment
-from hqcg.qstate import Single, apply_controlled_matrix, apply_gate, inner_product
+from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_gates, \
+    chain_unitaries, rotation_matrices, rotation_matrix, rotations
+from hqcg.grad import block_environments, chain_gradients
+from hqcg.qstate import Controlled, Single, apply_gate, inner_product
+from oracles import P1, circuit_matrix, gate_matrix, random_state_vector, site_matrix
 from hqcg.train import PROB_FLOOR
 
 
@@ -166,51 +169,120 @@ def test_class_phase_slots_have_exactly_zero_gradient():
     assert (analytic[others] != 0.0).all()
 
 
-def test_gate_environment_matches_controlled_derivative_kernel():
-    # vdot(bra, P1 (x) M ket) computed by the kernel, for every ordered
-    # (control, target) pair: adjacent, distant, control above and below.
-    rng = np.random.default_rng(26)
-
-    def cplx(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    for n in range(2, 7):
-        for control, target in itertools.permutations(range(n), 2):
-            bra, ket, m = cplx(3, 1 << n), cplx(3, 1 << n), cplx(2, 2)
-            want = np.vdot(bra, apply_controlled_matrix(ket, n, control, target, m,
-                                                        keep_inactive=False))
-            env = gate_environment(bra, ket, n, control, target)
-            assert abs(np.sum(m * env) - want) <= 1e-13 * abs(want), (n, control, target)
+def _layers(n):
+    """Every LQCG and GQCG of width n, one per group size; at n=12 only the
+    group sizes of a model, which needs two groups or more."""
+    sizes = [g for g in range(2, n + 1 if n <= 8 else n // 2 + 1) if n % g == 0]
+    return [build_lqcg(n, g) for g in sizes] + \
+        [build_gqcg(n, g) for g in sizes if n // g >= 2]
 
 
-def test_kernels_never_see_more_than_class_count_rows(monkeypatch):
-    # The batch is folded into one ket per class before any gate runs, so
-    # neither the row count nor the number of kernel calls grows with B.
-    # Class states are built without kernels, and gate derivatives are 2x2
-    # environment contractions: the gradient only pulls back and pushes
-    # forward through each circuit gate, and the forward pass only pulls back.
-    seen = []
+def _gates(circuit, theta):
+    """The layer's gates as qstate ``Controlled`` gates, in application order."""
+    return [Controlled(g.control, g.target, rotation_matrix(*theta[list(g.param_slot)]))
+            for g in circuit.gates]
 
-    def recording(kernel):
+
+def _gate_ops(circuit, theta, deriv):
+    """Dense gate matrices of the layer in application order, with gate i
+    replaced by P1 (x) dU/d(angle j) for ``deriv = (i, j)``."""
+    ops = [gate_matrix(circuit.num_qubits, g) for g in _gates(circuit, theta)]
+    gate = circuit.gates[deriv[0]]
+    dmats = rotations(circuit.angles(theta).reshape(-1, 3))[1]
+    ops[deriv[0]] = site_matrix(circuit.num_qubits,
+                                {gate.control: P1, gate.target: dmats[deriv]})
+    return ops
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 12])
+def test_fused_layers_match_dense_gate_product(n):
+    # blocks against the dense product of their gates on local qubits; up to
+    # n=8 the whole layer and its adjoint against the register oracle, at
+    # n=12 the layer against gate-by-gate statevector runs
+    rng = np.random.default_rng(27 + n)
+    for circuit in _layers(n):
+        theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+        gates = _gates(circuit, theta)
+        blocks = chain_unitaries(*chain_gates(rotation_matrices(circuit.angles(theta))))
+        for block, fused in zip(circuit.blocks, blocks):
+            local = {q: j for j, q in enumerate(block)}
+            want = circuit_matrix(len(block), [Controlled(local[g.control], local[g.target],
+                                                          g.matrix)
+                                               for g in gates if g.control in local])
+            np.testing.assert_allclose(fused, want, rtol=0, atol=1e-12)
+        if n <= 8:
+            dense = circuit_matrix(n, gates)
+            eye = np.eye(1 << n, dtype=complex)
+            np.testing.assert_allclose(apply_param_circuit(eye, circuit, theta).T, dense,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(apply_param_circuit(eye, circuit, theta, adjoint=True).T,
+                                       dense.conj().T, rtol=0, atol=1e-12)
+        else:
+            states = [Statevector(n, random_state_vector(rng, n)) for _ in range(3)]
+            kets = np.array([psi.amplitudes for psi in states])
+            for g in gates:
+                states = [apply_gate(psi, g) for psi in states]
+            np.testing.assert_allclose(apply_param_circuit(kets, circuit, theta),
+                                       [psi.amplitudes for psi in states], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_block_environment_derivatives_match_dense_derivative(n):
+    # sum_i <bra_i| dU |ket_i> for every angle of every layer, read from the
+    # block environments of the pulled-back bra and the ket; multiplying the
+    # bra by i turns the real part the sweep returns into the imaginary part
+    rng = np.random.default_rng(28 + n)
+    for circuit in _layers(n):
+        theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
+        mats, dmats = rotations(circuit.angles(theta))
+        bra = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        ket = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        got = []
+        for phase in (1.0, 1j):
+            pulled = apply_param_circuit(phase * bra, circuit, theta, adjoint=True)
+            envs = block_environments(pulled, ket, circuit)
+            got.append(chain_gradients(envs, chain_gates(mats),
+                                       chain_gates(dmats.swapaxes(1, 2), identity=0.0)))
+        got = (got[0] + 1j * got[1]).reshape(-1, 3)
+        for i, j in itertools.product(range(len(circuit.gates)), range(3)):
+            amps = ket.T
+            for op in _gate_ops(circuit, theta, deriv=(i, j)):
+                amps = op @ amps
+            want = np.vdot(bra.T, amps)
+            assert abs(got[i, j] - want) <= 1e-13 * abs(want), (circuit.blocks, i, j)
+
+
+def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
+    # The batch is folded into one ket per class before any layer runs, and
+    # each layer is a few fused block products: the gradient pulls back and
+    # pushes forward through each layer once, the forward pass only pulls
+    # back, no qstate kernel runs, and no layer sees more than C rows.
+    layers, kernels = [], []
+
+    def recording(fn, log):
         def wrapped(amps, *args, **kwargs):
-            seen.append(1 if amps.ndim == 1 else amps.shape[0])
-            return kernel(amps, *args, **kwargs)
+            log.append(1 if amps.ndim == 1 else amps.shape[0])
+            return fn(amps, *args, **kwargs)
         return wrapped
 
+    for module in (hqcg.circuit, hqcg.grad, hqcg.qstate):
+        for name in ("apply_controlled_matrix", "apply_single_matrix", "apply_swap_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), kernels))
+    layer = recording(hqcg.circuit.apply_param_circuit, layers)
     for module in (hqcg.circuit, hqcg.grad):
-        for name in ("apply_controlled_matrix", "apply_single_matrix"):
-            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        monkeypatch.setattr(module, "apply_param_circuit", layer)
 
     rng = np.random.default_rng(25)
     model = build_model(8, 4, 4, seed=6)
-    num_gates = len(model.lqcg.gates) + len(model.gqcg.gates)
     for batch in (2, 64):
         signals, labels = _random_batch(rng, model, batch, 40)
-        seen.clear()
+        layers.clear()
         loss_and_gradients(model, signals, labels)
-        assert len(seen) == 2 * num_gates == 20, batch
-        assert max(seen) <= model.num_classes, batch
-        seen.clear()
+        assert len(layers) == 4, batch
+        assert max(layers) <= model.num_classes, batch
+        layers.clear()
         forward_batch(model, signals)
-        assert len(seen) == num_gates, batch
-        assert max(seen) <= model.num_classes, batch
+        assert len(layers) == 2, batch
+        assert max(layers) <= model.num_classes, batch
+    assert kernels == []
