@@ -82,7 +82,7 @@ def _forward_pass(model: MLPModel, signals: np.ndarray):
     return z1, a1, z2, a2, _sigmoid(z3)
 
 
-def mlp_forward_batch(model: MLPModel, signals, threads: int | None = None) -> np.ndarray:
+def mlp_forward_batch(model: MLPModel, signals) -> np.ndarray:
     """Class probabilities for a (batch, length) matrix."""
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 2 or signals.shape[1] != model.layer_widths[0]:

@@ -435,7 +435,7 @@ def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
     return both[:, : len(pulled)], both[:, len(pulled) :]
 
 
-def forward_batch(model: HQCGModel, signals, threads: int | None = None) -> np.ndarray:
+def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     """Per-class fidelity scores for a (batch, length) signal matrix.
 
     The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
@@ -456,13 +456,13 @@ def forward_batch(model: HQCGModel, signals, threads: int | None = None) -> np.n
         re, im = conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled)
         return re * re + im * im
 
-    return map_rows(probs_chunk, signals, threads)
+    return map_rows(probs_chunk, signals)
 
 
 def forward(model: HQCGModel, signal) -> np.ndarray:
     """Class probabilities p_i = |<psi|phi_i>|^2 for one signal."""
     values = np.asarray(signal, dtype=np.float64).ravel()
-    return forward_batch(model, values[None, :], threads=1)[0]
+    return forward_batch(model, values[None, :])[0]
 
 
 # --- fidelity readouts ----------------------------------------------------------

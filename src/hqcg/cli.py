@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, circuit, grad
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, \
-    save_dataset, split, stack_samples, write_atomic, write_json
+from .data import Dataset, SyntheticSpec, generate_synthetic, is_json_type, \
+    load_dataset, save_dataset, split, stack_samples, write_atomic, write_json
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
@@ -63,10 +64,17 @@ def save_model(path, kind: str, model, meta: dict) -> None:
     write_json(path, doc)
 
 
-def _require(doc: dict, field: str):
+def _require(doc: dict, field: str, kind: type, item: type | None = None):
+    """``doc[field]`` of JSON type ``kind``; a list's entries of type ``item``."""
     if field not in doc:
         raise DataFormatError(f"checkpoint missing field '{field}'")
-    return doc[field]
+    value = doc[field]
+    if not is_json_type(value, kind) or (
+            item is not None and not all(is_json_type(v, item) for v in value)):
+        what = kind.__name__ if item is None else f"list[{item.__name__}]"
+        raise DataFormatError(f"checkpoint field '{field}' must be of type {what}, "
+                              f"got {reprlib.repr(value)}")
+    return value
 
 
 def load_model(path):
@@ -75,16 +83,18 @@ def load_model(path):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise DataFormatError(f"cannot read checkpoint {path}: {err}") from None
-    kind = _require(doc, "kind")
-    theta = np.asarray(_require(doc, "theta"), dtype=np.float64)
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"checkpoint {path} must hold a JSON object")
+    kind = _require(doc, "kind", str)
+    theta = np.asarray(_require(doc, "theta", list, float), dtype=np.float64)
     if kind == "quantum":
         model = circuit.build_model(
-            _require(doc, "num_qubits"), _require(doc, "group_size"),
-            _require(doc, "num_classes"), theta=theta,
+            _require(doc, "num_qubits", int), _require(doc, "group_size", int),
+            _require(doc, "num_classes", int), theta=theta,
         )
         return kind, model, circuit.forward_batch, doc
     if kind == "classical":
-        widths = tuple(_require(doc, "layer_widths"))
+        widths = tuple(_require(doc, "layer_widths", list, int))
         model = baseline.MLPModel(widths, theta)
         return kind, model, baseline.mlp_forward_batch, doc
     raise DataFormatError(f"checkpoint has unknown kind {kind!r}")
@@ -92,12 +102,12 @@ def load_model(path):
 
 def _check_compatible(doc: dict, dataset: Dataset) -> None:
     """Reject a dataset whose geometry differs from the checkpoint's."""
-    if dataset.signal_len != _require(doc, "signal_len"):
+    if dataset.signal_len != _require(doc, "signal_len", int):
         raise ConfigError(
             f"dataset signal length {dataset.signal_len} does not match "
             f"checkpoint ({doc['signal_len']})"
         )
-    if dataset.num_classes != _require(doc, "num_classes"):
+    if dataset.num_classes != _require(doc, "num_classes", int):
         raise ConfigError(
             f"dataset has {dataset.num_classes} classes, checkpoint expects "
             f"{doc['num_classes']}"
@@ -211,8 +221,8 @@ def cmd_eval(args) -> int:
     if args.split == "all":
         samples = dataset.samples
     else:
-        train_set, val_set = split(dataset, 1.0 - _require(doc, "val_fraction"),
-                                   _require(doc, "seed"))
+        fraction = _require(doc, "val_fraction", float)
+        train_set, val_set = split(dataset, 1.0 - fraction, _require(doc, "seed", int))
         samples = (train_set if args.split == "train" else val_set).samples
     metrics = evaluate(model, samples, predict_fn)
     print(f"split {args.split}  samples {len(samples)}")
@@ -375,8 +385,7 @@ def _config_value(key: str, value, action: argparse.Action):
     if value is None and action.default is None and not action.required:
         return None
     kind = action.type or str
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
+    if not is_json_type(value, kind):
         raise ConfigError(
             f"config entry {key!r} must be of type {kind.__name__}, got {value!r}"
         )

@@ -183,6 +183,12 @@ def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
     return csv_path, manifest_path
 
 
+def is_json_type(value, kind: type) -> bool:
+    """isinstance for decoded JSON: a bool is no number, an int is a float."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
 def _parse_labels(field: str, num_classes: int | None, lineno: int) -> list[int]:
     if field == "":
         return []
@@ -215,7 +221,14 @@ def load_dataset(path) -> Dataset:
             manifest = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as err:
             raise DataFormatError(f"bad manifest {manifest_path}: {err}") from None
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"bad manifest {manifest_path}: not a JSON object")
         num_classes = manifest.get("num_classes")
+        if not is_json_type(num_classes, int) or num_classes < 1:
+            raise DataFormatError(
+                f"bad manifest {manifest_path}: num_classes must be a positive "
+                f"int, got {num_classes!r}"
+            )
 
     lines = p.read_text().splitlines()
     if not lines:

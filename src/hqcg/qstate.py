@@ -11,7 +11,6 @@ through a gate in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -143,64 +142,56 @@ class BasisProjector:
 
 # --- kernels ----------------------------------------------------------------
 # All kernels act on the last axis of an (..., 2^n) array and return a new
-# array. Each output amplitude is written exactly once, so results are
-# independent of any chunk-level parallelism above this layer.
+# array. They read and write amplitudes only through ``_select`` views, so
+# they build no index array and keep nothing once they return.
+
+
+def _select(amps: np.ndarray, num_qubits: int, bits: dict[int, int]) -> np.ndarray:
+    """The amplitudes of ``amps`` whose qubit q holds ``bits[q]``, as a view.
+
+    The last axis is read as the (..., 2, ..., 2) qubit tensor, qubit q on
+    trailing axis n-1-q, and each fixed qubit's axis is indexed by its bit.
+    Basic indexing only: the result is a view, writable through to ``amps``
+    when ``amps`` is C-contiguous.
+    """
+    index = [slice(None)] * num_qubits
+    for q, bit in bits.items():
+        index[num_qubits - 1 - q] = bit
+    return amps.reshape(amps.shape[:-1] + (2,) * num_qubits)[(..., *index)]
+
+
+def _apply_matrix(amps: np.ndarray, num_qubits: int, controls: dict[int, int],
+                  target: int, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` on ``target`` where ``controls`` hold; other amplitudes
+    are copied through bit for bit."""
+    lo, hi = {**controls, target: 0}, {**controls, target: 1}
+    a0 = _select(amps, num_qubits, lo)
+    a1 = _select(amps, num_qubits, hi)
+    out = amps.copy()
+    _select(out, num_qubits, lo)[...] = matrix[0, 0] * a0 + matrix[0, 1] * a1
+    _select(out, num_qubits, hi)[...] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+    return out
 
 
 def apply_single_matrix(amps: np.ndarray, num_qubits: int, target: int,
                         matrix: np.ndarray) -> np.ndarray:
-    lead = amps.shape[:-1]
-    x = amps.reshape(lead + ((1 << num_qubits) >> (target + 1), 2, 1 << target))
-    a0 = x[..., 0, :]
-    a1 = x[..., 1, :]
-    out = np.empty_like(x)
-    out[..., 0, :] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[..., 1, :] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-    return out.reshape(amps.shape)
-
-
-@lru_cache(maxsize=256)
-def _controlled_pairs(num_qubits: int, control: int, target: int):
-    idx = np.arange(1 << num_qubits)
-    lo = idx[(((idx >> control) & 1) == 1) & (((idx >> target) & 1) == 0)]
-    hi = lo | (1 << target)
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
+    return _apply_matrix(amps, num_qubits, {}, target, matrix)
 
 
 def apply_controlled_matrix(amps: np.ndarray, num_qubits: int, control: int,
                             target: int, matrix: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to ``target`` on the control=1 subspace; the
     control=0 amplitudes pass through untouched."""
-    lo, hi = _controlled_pairs(num_qubits, control, target)
-    out = amps.copy()
-    a0 = amps[..., lo]
-    a1 = amps[..., hi]
-    out[..., lo] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    out[..., hi] = matrix[1, 0] * a0 + matrix[1, 1] * a1
-    return out
-
-
-@lru_cache(maxsize=256)
-def _swap_sources(num_qubits: int, a: int, b: int, control: int | None):
-    idx = np.arange(1 << num_qubits)
-    sel = (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
-    if control is not None:
-        sel &= ((idx >> control) & 1) == 1
-    x = idx[sel]
-    y = x ^ ((1 << a) | (1 << b))
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return x, y
+    return _apply_matrix(amps, num_qubits, {control: 1}, target, matrix)
 
 
 def apply_swap_kernel(amps: np.ndarray, num_qubits: int, a: int, b: int,
                       control: int | None = None) -> np.ndarray:
-    x, y = _swap_sources(num_qubits, a, b, control)
+    controls = {} if control is None else {control: 1}
+    x, y = {**controls, a: 1, b: 0}, {**controls, a: 0, b: 1}
     out = amps.copy()
-    out[..., x] = amps[..., y]
-    out[..., y] = amps[..., x]
+    _select(out, num_qubits, x)[...] = _select(amps, num_qubits, y)
+    _select(out, num_qubits, y)[...] = _select(amps, num_qubits, x)
     return out
 
 
@@ -260,6 +251,5 @@ def projector_probability(state: Statevector, proj: BasisProjector) -> float:
             f"projector qubit {proj.qubit} out of range for "
             f"{state.num_qubits}-qubit state"
         )
-    idx = np.arange(state.dim)
-    sel = ((idx >> proj.qubit) & 1) == proj.bit
-    return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    amps = _select(state.amplitudes, state.num_qubits, {proj.qubit: proj.bit})
+    return float(np.sum(np.abs(amps) ** 2))

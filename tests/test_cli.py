@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import hqcg.circuit
 from hqcg.cli import main
 
@@ -115,6 +117,60 @@ def test_eval_corrupt_checkpoint_names_field(tmp_path, capsys):
                  "--out", str(tmp_path / "e")])
     assert code == 2
     assert "num_qubits" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Data and one checkpoint of each kind, shared by tests that only read them."""
+    root = tmp_path_factory.mktemp("trained")
+    data_dir = _synth(root)
+    docs = {}
+    for kind in ("quantum", "classical"):
+        code, out_dir = _train(root, data_dir, ["--model", kind], out_name=kind)
+        assert code == 0
+        docs[kind] = json.loads((out_dir / "model.json").read_text())
+    return data_dir, docs
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("quantum", "num_qubits", "4"),
+    ("quantum", "num_qubits", True),
+    ("quantum", "num_classes", "2"),
+    ("quantum", "group_size", 2.0),
+    ("quantum", "theta", "x"),
+    ("classical", "layer_widths", "64"),
+    ("quantum", "val_fraction", "0.2"),
+    ("quantum", "seed", "7"),
+    ("quantum", None, 3),
+])
+def test_eval_mistyped_checkpoint_field_exits_2(trained, tmp_path, capsys, kind,
+                                                field, value):
+    """A field of the wrong JSON type, or one entry of a list field, or a
+    checkpoint that is no JSON object (field None) is a format error."""
+    data_dir, docs = trained
+    doc = json.loads(json.dumps(docs[kind]))
+    if field is None:
+        doc = value
+    elif isinstance(doc[field], list):
+        doc[field][1] = value
+    else:
+        doc[field] = value
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["eval", "--model-path", str(bad), "--data", str(data_dir),
+                 "--out", str(tmp_path / "e")])
+    assert code == 2
+    assert (f"'{field}'" if field else "JSON object") in capsys.readouterr().err
+    assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+def test_train_mistyped_manifest_exits_2(tmp_path, capsys):
+    data_dir = _synth(tmp_path)
+    (data_dir / "manifest.json").write_text(json.dumps({"num_classes": "3"}))
+    code, out_dir = _train(tmp_path, data_dir)
+    assert code == 2
+    assert "num_classes" in capsys.readouterr().err
+    assert not (out_dir / "model.json").exists()
 
 
 def test_eval_mismatched_signal_length(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Synthetic generation, CSV round trips, schema errors, and splitting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,18 @@ def test_label_out_of_range_with_manifest(tmp_path):
     text[1] = ",".join(fields)
     csv.write_text("\n".join(text) + "\n")
     with pytest.raises(DataFormatError, match="line 2"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("manifest", [
+    {"num_classes": "2"}, {"num_classes": 2.5}, {"num_classes": True},
+    {"num_classes": 0}, {"signal_len": 8}, [2],
+])
+def test_mistyped_manifest_rejected(tmp_path, manifest):
+    spec = _spec(num_classes=2, signal_len=8)
+    save_dataset(generate_synthetic(spec), tmp_path, spec)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match="manifest"):
         load_dataset(tmp_path)
 
 

@@ -36,15 +36,6 @@ def test_map_rows_output_independent_of_workers():
     np.testing.assert_array_equal(single, pooled)
 
 
-def test_forward_batch_bitwise_identical_across_thread_counts():
-    rng = np.random.default_rng(0)
-    model = build_model(6, 3, 3, seed=2)
-    signals = rng.normal(size=(CHUNK_ROWS * 2 + 5, 64))
-    a = forward_batch(model, signals, threads=1)
-    b = forward_batch(model, signals, threads=4)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_env_variable_reaches_forward_batch(monkeypatch):
     rng = np.random.default_rng(1)
     model = build_model(6, 3, 2, seed=3)

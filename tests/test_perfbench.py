@@ -1,7 +1,8 @@
-"""Smoke test of the traced benchmark run: the per-layer spans it patches in
-by attribute name still reach the code the library runs."""
+"""Smoke tests of the benchmark harness: the gated untraced run and the
+traced run, whose per-layer spans are patched in by attribute name."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_mid_predict_run_records_layer_spans():
+def _run(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mid-predict", "--seed", "1",
-         "--seconds", "0.01", "--trace", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.01", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    metrics = result["metrics"]
+    return result
+
+
+def test_untraced_default_task_run_reports_every_gated_metric():
+    result = _run("default-task", 0)
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for entry in declared:
+        value = result["metrics"][entry["name"]]["value"]
+        assert math.isfinite(value), entry["name"]
+
+
+def test_traced_mid_predict_run_records_layer_spans():
+    metrics = _run("mid-predict", 1)["metrics"]
     for name in ("circuit.lqcg.s", "circuit.gqcg.s", "grad.forward.s"):
         assert metrics[name]["value"] > 0, name

@@ -1,5 +1,12 @@
 """Statevector engine: known vectors, dense-matrix oracle, invariants."""
 
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +14,7 @@ from hqcg import (
     BasisProjector,
     CapacityError,
     Controlled,
+    ControlledSwap,
     ShapeError,
     Single,
     StateError,
@@ -17,7 +25,11 @@ from hqcg import (
     projector_probability,
     zero_state,
 )
-from oracles import circuit_matrix, random_gate, random_state_vector
+from hqcg.qstate import apply_controlled_matrix, apply_single_matrix, apply_swap_kernel
+from oracles import circuit_matrix, gate_matrix, random_gate, random_state_vector, \
+    random_unitary_2x2
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 S2 = 1.0 / np.sqrt(2.0)
 H = np.array([[1, 1], [1, -1]]) * S2
@@ -141,6 +153,49 @@ def test_controlled_gate_leaves_control_zero_subspace_untouched():
         inactive = ((idx >> gate.control) & 1) == 0
         # bitwise identical: the kernel copies these amplitudes through
         np.testing.assert_array_equal(out[inactive], state[inactive])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kernels_on_stacked_states_match_dense_oracle(n):
+    """Each kernel on a (3, 2^n) stack: every target, every ordered
+    (control, target) pair, every swap with and without a control."""
+    rng = np.random.default_rng(300 + n)
+    stack = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    before = stack.copy()
+    m = random_unitary_2x2(rng)
+    pairs = list(itertools.permutations(range(n), 2))
+    runs = [(Single(t, m), apply_single_matrix(stack, n, t, m)) for t in range(n)]
+    runs += [(Controlled(c, t, m), apply_controlled_matrix(stack, n, c, t, m))
+             for c, t in pairs]
+    runs += [(Swap(a, b), apply_swap_kernel(stack, n, a, b)) for a, b in pairs]
+    runs += [(ControlledSwap(c, a, b), apply_swap_kernel(stack, n, a, b, control=c))
+             for c, a, b in itertools.permutations(range(n), 3)]
+    for gate, out in runs:
+        dense = gate_matrix(n, gate)
+        expected = np.array([dense @ row for row in stack])
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12, err_msg=repr(gate))
+    np.testing.assert_array_equal(stack, before)
+
+
+def test_swap_test_keeps_no_allocation_after_it_returns():
+    # a fresh process, so no earlier call in this suite has warmed anything
+    code = textwrap.dedent("""
+        import tracemalloc
+        import numpy as np
+        from hqcg import Statevector, swap_test_fidelity
+        rng = np.random.default_rng(0)
+        psi, phi = (Statevector(8, v / np.linalg.norm(v))
+                    for v in rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256)))
+        tracemalloc.start()
+        swap_test_fidelity(psi, phi)
+        print(tracemalloc.get_traced_memory()[0])
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 64 * 1024
 
 
 def test_inner_product_self_is_one():
