@@ -41,6 +41,8 @@ class MLPModel:
                 f"expected widths (input, hidden, hidden, classes), "
                 f"got {self.layer_widths}"
             )
+        if min(self.layer_widths) < 1:
+            raise ShapeError(f"layer widths must be at least 1, got {self.layer_widths}")
         self.theta = np.asarray(self.theta, dtype=np.float64)
         want = mlp_param_count(self.layer_widths)
         if self.theta.shape != (want,):

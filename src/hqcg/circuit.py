@@ -168,10 +168,9 @@ def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
     """The contiguous qubit blocks of size ``group_size``."""
     if group_size < 2:
         raise ConfigError(f"group size must be >= 2, got {group_size}")
-    if num_qubits % group_size != 0:
-        raise ConfigError(
-            f"group size {group_size} does not divide qubit count {num_qubits}"
-        )
+    if num_qubits < group_size or num_qubits % group_size != 0:
+        raise ConfigError(f"qubit count {num_qubits} is not a positive multiple "
+                          f"of group size {group_size}")
     return [tuple(range(start, start + group_size))
             for start in range(0, num_qubits, group_size)]
 
@@ -302,12 +301,16 @@ def _ring_preimage(num_qubits: int) -> np.ndarray:
 
 def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None):
     """Class states from a (C, 3n) block of angles, one row per class, plus
-    the (C, n, 2) single-qubit columns u_q|0> they are built from. ``cols``
-    are those columns if the caller has computed them from ``angles``.
+    the partial products they are built from. ``cols`` are the (C, n, 2)
+    single-qubit columns u_q|0> if the caller has computed them from
+    ``angles``.
 
     The ansatz puts each qubit in u_q|0> and closes with a CNOT ring. The
     ring only permutes basis states, so each class state is that
-    permutation of the Kronecker product of its n columns, qubit q on bit q.
+    permutation of the Kronecker product of its n columns, qubit q on bit q,
+    built as product_q = col_q (x) product_{q-1}. The partial products
+    product_0, ..., product_{n-2} come back as a list of (C, 2^(q+1))
+    arrays, which ``grad.class_gradients`` reads in reverse.
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 2 or angles.shape[1] != 3 * num_qubits:
@@ -317,10 +320,11 @@ def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None
         )
     if cols is None:
         cols = rotation_matrices(angles.reshape(len(angles), num_qubits, 3))[..., 0]
-    product = cols[:, 0]
+    products = [cols[:, 0]]
     for q in range(1, num_qubits):
-        product = (cols[:, q, :, None] * product[:, None, :]).reshape(len(cols), -1)
-    return np.take(product, _ring_preimage(num_qubits), axis=1), cols
+        products.append((cols[:, q, :, None] * products[-1][:, None, :])
+                        .reshape(len(cols), -1))
+    return np.take(products.pop(), _ring_preimage(num_qubits), axis=1), products
 
 
 def build_class_state(num_qubits: int, class_params) -> Statevector:

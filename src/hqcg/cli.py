@@ -12,7 +12,6 @@ corresponding flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import reprlib
 import sys
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import baseline, circuit, grad
 from .data import Dataset, SyntheticSpec, generate_synthetic, is_json_type, \
-    load_dataset, save_dataset, split, stack_samples, write_atomic, write_json
+    load_dataset, read_json_object, save_dataset, split, stack_samples, write_atomic, \
+    write_json
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
@@ -79,12 +79,7 @@ def _require(doc: dict, field: str, kind: type, item: type | None = None):
 
 def load_model(path):
     """Returns (kind, model, predict_fn, checkpoint dict)."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise DataFormatError(f"cannot read checkpoint {path}: {err}") from None
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"checkpoint {path} must hold a JSON object")
+    doc = read_json_object(path, "checkpoint")
     kind = _require(doc, "kind", str)
     theta = np.asarray(_require(doc, "theta", list, float), dtype=np.float64)
     if kind == "quantum":
@@ -400,12 +395,7 @@ def _config_value(key: str, value, action: argparse.Action):
 def _apply_config_file(args, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
-    try:
-        overrides = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config file {args.config}: {err}") from None
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
+    overrides = read_json_object(args.config, "config file")
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a for a in commands.choices[args.command]._actions

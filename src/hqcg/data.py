@@ -189,6 +189,26 @@ def is_json_type(value, kind: type) -> bool:
         value, (int, float) if kind is float else kind)
 
 
+def _read_utf8(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataFormatError(f"cannot read {what} {path}: {err}") from None
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``. A file that cannot be
+    read, decoded or parsed, or that holds another JSON value, raises
+    ``DataFormatError`` naming ``what`` and the file."""
+    try:
+        doc = json.loads(_read_utf8(path, what))
+    except json.JSONDecodeError as err:
+        raise DataFormatError(f"cannot parse {what} {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{what} {path} must hold a JSON object")
+    return doc
+
+
 def _parse_labels(field: str, num_classes: int | None, lineno: int) -> list[int]:
     if field == "":
         return []
@@ -217,12 +237,7 @@ def load_dataset(path) -> Dataset:
     num_classes = None
     manifest = None
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as err:
-            raise DataFormatError(f"bad manifest {manifest_path}: {err}") from None
-        if not isinstance(manifest, dict):
-            raise DataFormatError(f"bad manifest {manifest_path}: not a JSON object")
+        manifest = read_json_object(manifest_path, "manifest")
         num_classes = manifest.get("num_classes")
         if not is_json_type(num_classes, int) or num_classes < 1:
             raise DataFormatError(
@@ -230,7 +245,7 @@ def load_dataset(path) -> Dataset:
                 f"int, got {num_classes!r}"
             )
 
-    lines = p.read_text().splitlines()
+    lines = _read_utf8(p, "dataset").splitlines()
     if not lines:
         raise EmptyDatasetError(f"empty dataset file: {p}")
     header = lines[0].split(",")

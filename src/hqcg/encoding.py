@@ -22,26 +22,11 @@ def required_qubits(length: int) -> int:
 
 
 def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
-    """Encode a 1-D signal as a unit-norm statevector, zero-padded at the tail."""
+    """Encode a 1-D signal as a unit-norm statevector, zero-padded at the tail;
+    the one-row case of ``encode_rows``."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EncodingError("cannot encode an empty signal")
-    if not np.isfinite(v).all():
-        raise EncodingError("signal contains NaN or Inf")
     n = required_qubits(v.size) if num_qubits is None else num_qubits
-    if not 1 <= n <= MAX_QUBITS:
-        raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    if v.size > (1 << n):
-        raise CapacityError(
-            f"signal of length {v.size} does not fit in {n} qubits "
-            f"(capacity {1 << n})"
-        )
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise EncodingError("degenerate all-zero signal cannot be encoded")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[: v.size] = v / norm
-    return Statevector(n, amps)
+    return Statevector(n, encode_rows(v.reshape(1, -1), n)[0])
 
 
 def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:

@@ -32,12 +32,11 @@ derivative is ever applied to a state.
 
 Class-state angles take dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class
 state is a fixed basis permutation P of a product of single-qubit columns
-u_q|0> (``circuit.class_state_trace``), so with t_i = conj(xi_i)[P] the
-derivative by an angle of qubit q is t_i contracted against the other n-1
-columns of class i, dotted with the derivative of column q. The qubits
-split into a low and a high half: t_i contracted against the Kronecker
-product of one half's columns leaves the other half's residual, and the
-leave-one-out products of that half's columns finish the contraction. The
+u_q|0>, built as product_q = col_q (x) product_{q-1}
+(``circuit.class_state_trace``). ``class_gradients`` runs that loop
+backwards over the partial products: with t_i = conj(xi_i)[P], column q's
+environment is t_i on qubit q contracted with product_{q-1}, and folding
+t_i against col_q leaves the contraction for the next column down. The
 first angle of every column's rotation is an Rz acting on |0>, a global
 phase, so its gradient is exactly zero.
 
@@ -148,34 +147,24 @@ def chain_gradients(envs: np.ndarray, gates, dgates) -> np.ndarray:
             + np.einsum("bdjx,bjx->bjd", doff, y_flip)).real
 
 
-def _leave_one_out(factors: np.ndarray) -> np.ndarray:
-    """Products over axis 1 of a (C, m, Y) array that each leave one entry out."""
-    ones = np.ones_like(factors[:, :1])
-    before = np.cumprod(np.concatenate([ones, factors[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, factors[:, :0:-1]], axis=1), axis=1)
-    return before * after[:, ::-1]
-
-
-def class_gradients(xi: np.ndarray, cols: np.ndarray, dcols: np.ndarray) -> np.ndarray:
+def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
+                    dcols: np.ndarray) -> np.ndarray:
     """Re <xi_i|d phi_i> by the b and c angles of every class column, as a
-    (C, n, 2) array, from the (C, n, 2) columns and their (C, n, 2, 2) b and
-    c derivatives."""
+    (C, n, 2) array, from the (C, n, 2) columns, the partial products of
+    ``class_state_trace`` and the (C, n, 2, 2) b and c column derivatives.
+
+    The build loop runs backwards: t = conj(xi)[P], viewed as (C, 2, 2^q),
+    gives column q's environment e_q = t . product_{q-1} and then folds
+    against col_q, so e_0 is what is left."""
     classes, n = cols.shape[:2]
-    low = n // 2
-    t = np.take(xi, _ring_permutation(n), axis=1).conj().reshape(classes, -1, 1 << low)
-    both = np.concatenate([cols[..., None], dcols.swapaxes(-1, -2)], axis=-1)
-    halves = []
-    for first, end in ((0, low), (low, n)):
-        bits = (np.arange(1 << (end - first))[:, None] >> np.arange(end - first)) & 1
-        # [c, q, y]: column q of the half and its derivatives at bit q of y
-        halves.append(both[:, np.arange(first, end)[:, None], bits.T])
-    kron_low, kron_high = (half[..., 0].prod(axis=1) for half in halves)
-    residuals = (np.einsum("chl,ch->cl", t, kron_high),
-                 np.einsum("chl,cl->ch", t, kron_low))
-    return np.concatenate([
-        np.einsum("cy,cqy,cqyj->cqj", residual, _leave_one_out(half[..., 0]),
-                  half[..., 1:]).real
-        for half, residual in zip(halves, residuals)], axis=1)
+    t = np.take(xi, _ring_permutation(n), axis=1).conj()
+    envs = np.empty_like(cols)
+    for q in range(n - 1, 0, -1):
+        t = t.reshape(classes, 2, -1)
+        envs[:, q] = (t @ products[q - 1][:, :, None])[..., 0]
+        t = (cols[:, q, None, :] @ t)[:, 0]
+    envs[:, 0] = t
+    return np.einsum("cqa,cqja->cqj", envs, dcols).real
 
 
 def batch_loss(model: HQCGModel, signals, labels) -> float:
@@ -197,8 +186,8 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     unitaries = [chain_unitaries(*g) for g in gates]
 
     norms = row_norms(signals, n)
-    states, cols = class_state_trace(n, model.class_angle_block(),
-                                     cols=class_mats[..., 0])
+    cols = class_mats[..., 0]
+    states, products = class_state_trace(n, model.class_angle_block(), cols=cols)
     beta, pulled = pull_back(model, states, unitaries)
     re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
     probs = re * re + im * im
@@ -218,19 +207,15 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     kets[:, : signals.shape[1]] = folded[: len(kets)] + 1j * folded[len(kets) :]
     u, xi, _ = _forward_trace(model, kets, unitaries)
 
-    grads = np.zeros(model.num_params)
-    offset = model.lqcg.num_params
-    grads[:offset] = chain_gradients(block_environments(pulled, kets, model.lqcg),
-                                     gates[0], dgates[0]).ravel()
-    grads[offset : model.class_params_offset] = chain_gradients(
-        block_environments(beta, u, model.gqcg), gates[1], dgates[1]).ravel()
-    # slot a of every class column, the Rz on |0>, stays 0
-    class_grads = np.zeros((model.num_classes, n, 3))
-    # (C, n, 2, 2): the b and c derivatives of every class-state column
-    class_grads[:, :, 1:] = class_gradients(xi, cols, class_dmats[:, :, 1:, :, 0])
-    grads[model.class_params_offset :] = class_grads.ravel()
-
-    grads *= 2.0 / signals.shape[0]
+    grads = np.concatenate([
+        chain_gradients(block_environments(pulled, kets, model.lqcg),
+                        gates[0], dgates[0]).ravel(),
+        chain_gradients(block_environments(beta, u, model.gqcg),
+                        gates[1], dgates[1]).ravel(),
+        # slot a of every class column, the Rz on |0>, stays 0
+        np.pad(class_gradients(xi, cols, products, class_dmats[:, :, 1:, :, 0]),
+               ((0, 0), (0, 0), (1, 0))).ravel(),
+    ]) * (2.0 / signals.shape[0])
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads

@@ -96,12 +96,10 @@ def clamp_probs(probs: np.ndarray) -> np.ndarray:
 
 def bce_loss(probs, labels) -> float:
     """Mean binary cross-entropy over one probability/label vector."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ShapeError(f"probs shape {p.shape} != labels shape {y.shape}")
-    p = clamp_probs(p)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    # one leading row, so bce_rows sees any shape mismatch as it is
+    p = np.atleast_1d(np.asarray(probs, dtype=np.float64))[None]
+    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))[None]
+    return float(np.mean(bce_rows(p, y)))
 
 
 def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """CLI commands: file outputs, exit codes, determinism, error surfaces."""
 
 import json
+import shutil
 
 import pytest
 
 import hqcg.circuit
-from hqcg.cli import main
+from hqcg import ConfigError, ShapeError
+from hqcg.cli import load_model, main
 
 SMALL_SYNTH = ["synth", "--classes", "3", "--len", "32", "--samples", "60",
                "--seed", "5"]
@@ -162,6 +164,49 @@ def test_eval_mistyped_checkpoint_field_exits_2(trained, tmp_path, capsys, kind,
     assert code == 2
     assert (f"'{field}'" if field else "JSON object") in capsys.readouterr().err
     assert not (tmp_path / "e" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("kind, field, value, error, message", [
+    ("quantum", "num_qubits", 0, ConfigError,
+     "qubit count 0 is not a positive multiple of group size 3"),
+    ("quantum", "num_qubits", -3, ConfigError,
+     "qubit count -3 is not a positive multiple of group size 3"),
+    ("classical", "layer_widths", [32, -8, 8, 3], ShapeError,
+     r"layer widths must be at least 1, got \(32, -8, 8, 3\)"),
+], ids=["num_qubits-0", "num_qubits-minus-3", "layer_widths-minus-8"])
+def test_load_model_out_of_range_geometry_names_value(trained, tmp_path, kind, field,
+                                                      value, error, message):
+    """Well-typed geometry that no model can have is rejected where it is
+    used, by a message that names the value."""
+    doc = dict(trained[1][kind], **{field: value})
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(error, match=message):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "manifest", "dataset", "config"])
+def test_file_not_utf8_exits_2(trained, tmp_path, capsys, target):
+    """A checkpoint, manifest, dataset or config file that is not valid UTF-8
+    is a format error naming the file, not a traceback."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(trained[0], data_dir)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained[1]["quantum"]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    bad = {"checkpoint": model, "manifest": data_dir / "manifest.json",
+           "dataset": data_dir / "dataset.csv", "config": cfg}[target]
+    bad.write_bytes(b"\xff")
+    if target == "manifest":
+        argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "r")] \
+            + SMALL_TRAIN
+    else:
+        argv = ["eval", "--model-path", str(model), "--data", str(data_dir),
+                "--out", str(tmp_path / "e")]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_train_mistyped_manifest_exits_2(tmp_path, capsys):

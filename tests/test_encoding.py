@@ -44,6 +44,12 @@ def test_encode_non_finite_rejected():
         amplitude_encode([1.0, np.nan], 1)
 
 
+def test_encode_norm_overflow_rejected():
+    # finite entries whose L2 norm overflows: the same error as encode_rows
+    with pytest.raises(EncodingError, match="overflows"):
+        amplitude_encode([1e200, 1e200], 1)
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(0)
     for _ in range(50):

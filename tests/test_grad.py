@@ -21,8 +21,8 @@ from hqcg import (
     zero_state,
 )
 from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_gates, \
-    chain_unitaries, rotation_matrices, rotation_matrix, rotations
-from hqcg.grad import block_environments, chain_gradients
+    chain_unitaries, class_state_trace, rotation_matrices, rotation_matrix, rotations
+from hqcg.grad import block_environments, chain_gradients, class_gradients
 from hqcg.qstate import Controlled, Single, apply_gate, inner_product
 from oracles import P1, circuit_matrix, gate_matrix, random_state_vector, site_matrix
 from hqcg.train import PROB_FLOOR
@@ -286,3 +286,24 @@ def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
         assert len(layers) == 2, batch
         assert max(layers) <= model.num_classes, batch
     assert kernels == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_class_gradients_match_dense_derivative(n):
+    # the reverse sweep over the partial products against Re <xi|d phi>, with
+    # d phi built densely: the Kronecker product of the class columns with
+    # column q replaced by its derivative, then the CNOT ring as gates
+    rng = np.random.default_rng(40 + n)
+    angles = rng.uniform(-np.pi, np.pi, (3, 3 * n))
+    mats, dmats = rotations(angles.reshape(3, n, 3))
+    _, products = class_state_trace(n, angles)
+    xi = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    got = class_gradients(xi, mats[..., 0], products, dmats[:, :, 1:, :, 0])
+    x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
+    ring = circuit_matrix(n, [Controlled(k, (k + 1) % n, x_gate)
+                              for k in range(n)] if n > 1 else [])
+    for c, q, j in itertools.product(range(3), range(n), range(2)):
+        cols = {p: mats[c, p, :, :1] for p in range(n)}
+        cols[q] = dmats[c, q, j + 1, :, :1]
+        want = np.vdot(xi[c], ring @ site_matrix(n, cols)[:, 0]).real
+        assert abs(got[c, q, j] - want) <= 1e-13 * abs(want), (c, q, j)
