@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 # perfbench/run.py traces encode_rows through this module's namespace
-from .encoding import encode_rows, row_norms  # noqa: F401
+from .encoding import encode_rows, row_norms, signal_matrix  # noqa: F401
 from .errors import CapacityError, ConfigError, NumericError, ShapeError
 from .parallel import map_rows
 # perfbench/run.py also traces apply_controlled_matrix through this
@@ -444,13 +444,14 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
 
     The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
     |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
-    the circuit once per call; each chunk of rows is then scored by one
-    real matrix product against the real and imaginary parts of the
-    pulled-back states. No per-sample state is built.
+    the circuit once per call; each ``map_rows`` chunk of rows is then
+    scored by one real matrix product against the real and imaginary
+    parts of the pulled-back states. A batch of at most 8 MiB of signal is
+    one chunk, scored on the calling thread. No per-sample state is built.
     """
     if not np.isfinite(model.theta).all():
         raise NumericError("non-finite model parameters")
-    signals = np.asarray(signals, dtype=np.float64)
+    signals = signal_matrix(signals)
     *layers, classes = split_triples(model, rotation_matrices(model.theta.reshape(-1, 3)))
     states = class_state_matrix(model, cols=classes[..., 0])
     unitaries = [chain_unitaries(*chain_gates(mats)) for mats in layers]

@@ -28,6 +28,7 @@ from .data import Dataset, SyntheticSpec, generate_synthetic, is_json_type, \
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
+from .parallel import thread_count
 from .train import TrainConfig, evaluate, train_loop, write_curves_csv, \
     write_metrics_json
 
@@ -219,7 +220,8 @@ def cmd_eval(args) -> int:
         fraction = _require(doc, "val_fraction", float)
         train_set, val_set = split(dataset, 1.0 - fraction, _require(doc, "seed", int))
         samples = (train_set if args.split == "train" else val_set).samples
-    metrics = evaluate(model, samples, predict_fn)
+    signals, labels, _ = stack_samples(samples)
+    metrics = evaluate(model, signals, labels, predict_fn)
     print(f"split {args.split}  samples {len(samples)}")
     print(f"loss {metrics.loss:.17g}")
     print(f"accuracy {metrics.accuracy:.17g}")
@@ -414,6 +416,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        thread_count()  # a malformed HQCG_THREADS fails before any work
         _apply_config_file(args, parser)
         return args.func(args)
     except BrokenPipeError:

@@ -207,15 +207,16 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     kets[:, : signals.shape[1]] = folded[: len(kets)] + 1j * folded[len(kets) :]
     u, xi, _ = _forward_trace(model, kets, unitaries)
 
-    grads = np.concatenate([
-        chain_gradients(block_environments(pulled, kets, model.lqcg),
-                        gates[0], dgates[0]).ravel(),
-        chain_gradients(block_environments(beta, u, model.gqcg),
-                        gates[1], dgates[1]).ravel(),
-        # slot a of every class column, the Rz on |0>, stays 0
-        np.pad(class_gradients(xi, cols, products, class_dmats[:, :, 1:, :, 0]),
-               ((0, 0), (0, 0), (1, 0))).ravel(),
-    ]) * (2.0 / signals.shape[0])
+    grads = np.empty(model.theta.size)
+    lqcg, gqcg, classes = split_triples(model, grads.reshape(-1, 3))
+    lqcg[...] = chain_gradients(block_environments(pulled, kets, model.lqcg),
+                                gates[0], dgates[0])
+    gqcg[...] = chain_gradients(block_environments(beta, u, model.gqcg),
+                                gates[1], dgates[1])
+    # slot a of every class column, the Rz on |0>, stays 0
+    classes[..., 0] = 0.0
+    classes[..., 1:] = class_gradients(xi, cols, products, class_dmats[:, :, 1:, :, 0])
+    grads *= 2.0 / signals.shape[0]
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads

@@ -1,9 +1,10 @@
 """Deterministic chunk-parallel evaluation.
 
-Work is split into fixed-size row chunks and results are reassembled in
-submission order, so the output is bitwise independent of the worker
-count. The HQCG_THREADS environment variable caps the pool size
-(0 or unset = auto).
+Rows are split into chunks of at most CHUNK_BYTES (8 MiB) each, and
+results are reassembled in submission order, so the output is bitwise
+independent of the worker count. A batch that fits one chunk runs on the
+calling thread; only two or more chunks start a pool. The HQCG_THREADS
+environment variable caps the pool size (0 or unset = auto).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-CHUNK_ROWS = 256
+CHUNK_BYTES = 1 << 23
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -36,10 +37,12 @@ def thread_count(explicit: int | None = None) -> int:
 
 
 def map_rows(fn, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """Apply ``fn`` to CHUNK_ROWS-sized slices of ``rows``; concat in order."""
+    """Apply ``fn`` to slices of ``rows`` of at most CHUNK_BYTES each (at
+    least one row); concat in order."""
     if len(rows) == 0:
         raise ShapeError("cannot map over an empty batch")
-    chunks = [rows[i : i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS)]
+    step = max(1, CHUNK_BYTES // rows[0].nbytes)
+    chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
     workers = thread_count(threads)
     if workers <= 1 or len(chunks) <= 1:
         parts = [fn(c) for c in chunks]

@@ -209,9 +209,9 @@ def macro_auc(probs, labels) -> float:
     return float(np.mean(values))
 
 
-def evaluate(model, samples, predict_fn) -> Metrics:
-    """Loss, cell accuracy, and macro AUC of ``model`` on ``samples``."""
-    signals, labels, _ = stack_samples(samples)
+def evaluate(model, signals, labels, predict_fn) -> Metrics:
+    """Loss, cell accuracy, and macro AUC of ``model`` on stacked
+    ``signals`` and their ``labels``."""
     probs = predict_fn(model, signals)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite probabilities during evaluation")
@@ -233,6 +233,7 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig,
     if len(train_samples) == 0:
         raise ConfigError("training split is empty")
     signals, labels, ids = stack_samples(train_samples)
+    val_signals, val_labels, _ = stack_samples(val_samples)
     n_train = len(train_samples)
     steps_per_epoch = -(-n_train // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
@@ -260,8 +261,8 @@ def train_loop(model, train_samples, val_samples, cfg: TrainConfig,
                                              step + 1, cfg, lr=lr)
             step += 1
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            tr = evaluate(model, train_samples, predict_fn)
-            va = evaluate(model, val_samples, predict_fn)
+            tr = evaluate(model, signals, labels, predict_fn)
+            va = evaluate(model, val_signals, val_labels, predict_fn)
             report.records.append(EpochRecord(
                 epoch, tr.loss, tr.accuracy, tr.auc,
                 va.loss, va.accuracy, va.auc, float(lr),

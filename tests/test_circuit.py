@@ -6,6 +6,7 @@ import pytest
 from hqcg import (
     CapacityError,
     ConfigError,
+    HqcgError,
     ShapeError,
     Statevector,
     build_class_state,
@@ -264,6 +265,13 @@ def test_forward_batch_matches_single_forward():
     batch = forward_batch(model, signals)
     for i in range(7):
         np.testing.assert_allclose(batch[i], forward(model, signals[i]), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (16,), (0, 16), (3, 0), (2, 3, 4)])
+def test_forward_batch_rejects_non_matrix_input(shape):
+    model = build_model(4, 2, 2, seed=0)
+    with pytest.raises(HqcgError):
+        forward_batch(model, np.ones(shape))
 
 
 # --- fidelity readouts --------------------------------------------------------------

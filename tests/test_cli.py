@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 import hqcg.circuit
+import hqcg.grad
 from hqcg import ConfigError, ShapeError
 from hqcg.cli import load_model, main
 
@@ -412,6 +413,26 @@ def test_predict_bad_top_exits_2_before_scoring(tmp_path, capsys, monkeypatch):
                  "--data", str(data_dir), "--top", "0"])
     assert code == 2
     assert "--top" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_malformed_threads_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                                   command):
+    data_dir = _synth(tmp_path)
+    calls = []
+    step = hqcg.grad.loss_and_gradients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(hqcg.grad, "loss_and_gradients", counting)
+    monkeypatch.setenv("HQCG_THREADS", "lots")
+    code = main([command, "--data", str(data_dir), "--out", str(tmp_path / "r")]
+                + SMALL_TRAIN)
+    assert code == 2
+    assert "HQCG_THREADS" in capsys.readouterr().err
     assert calls == []
 
 
