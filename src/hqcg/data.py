@@ -4,7 +4,10 @@ Dataset CSV schema: header ``id,labels,v0,v1,...,v{l-1}``; the labels field
 is a semicolon-joined list of active class indices (``0;3``); values are
 decimal floats written with 17 significant digits so the round trip is
 exact. A sidecar ``manifest.json`` records num_classes, signal_len,
-num_samples, seed, and the full generation spec.
+num_samples, seed, and the full generation spec. ``save_dataset`` refuses,
+before it writes anything, a dataset that ``load_dataset`` would reject:
+non-finite or misshapen values, misshapen labels, ids holding a comma or
+line break, or no samples, classes or values.
 
 Each synthetic class owns a contiguous voxel block carrying a smooth
 half-cosine bump; a sample is the sum of its active class bumps plus iid
@@ -86,6 +89,11 @@ class SyntheticSpec:
                 f"{self.num_classes} regions of {self.region_size} voxels "
                 f"exceed signal length {self.signal_len}"
             )
+        if not np.isfinite(self.template_gain):
+            raise ConfigError(
+                f"template_gain must be finite, got {self.template_gain}")
+        if not np.isfinite(self.noise_sigma):
+            raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0 < self.label_density <= self.num_classes:
@@ -159,17 +167,51 @@ def write_json(path, doc) -> None:
     write_atomic(path, dump)
 
 
+# A comma ends a CSV field; str.splitlines, which load_dataset reads rows
+# with, ends a row at any of the others.
+_ID_BREAKS = ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _check_savable(dataset: Dataset) -> None:
+    """Raise for any sample ``load_dataset`` would reject once saved."""
+    if not dataset.samples:
+        raise EmptyDatasetError("no samples to save")
+    if dataset.num_classes < 1 or dataset.signal_len < 1:
+        raise DataFormatError(
+            f"cannot save {dataset.num_classes} classes of length "
+            f"{dataset.signal_len}: both must be >= 1")
+    for s in dataset.samples:
+        if any(c in s.id for c in _ID_BREAKS):
+            raise DataFormatError(
+                f"sample {s.id!r}: id must not hold a comma or line break")
+        if np.shape(s.values) != (dataset.signal_len,):
+            raise DataFormatError(
+                f"sample {s.id!r}: values have shape {np.shape(s.values)}, "
+                f"expected ({dataset.signal_len},)")
+        if np.shape(s.labels) != (dataset.num_classes,):
+            raise DataFormatError(
+                f"sample {s.id!r}: labels have shape {np.shape(s.labels)}, "
+                f"expected ({dataset.num_classes},)")
+        if not np.isfinite(s.values).all():
+            raise DataFormatError(f"sample {s.id!r}: NaN or Inf signal value")
+
+
 def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
-    """Write dataset.csv and manifest.json into ``out_dir``; returns the paths."""
+    """Write dataset.csv and manifest.json into ``out_dir``; returns the paths.
+
+    A dataset ``load_dataset`` would reject once saved raises
+    ``DataFormatError`` (``EmptyDatasetError`` when it has no samples)
+    before any file is written."""
+    _check_savable(dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / CSV_NAME
     header = "id,labels," + ",".join(f"v{i}" for i in range(dataset.signal_len))
+    row = "%s,%s," + ",".join(["%.17g"] * dataset.signal_len)
     lines = [header]
     for s in dataset.samples:
         labels = ";".join(str(c) for c in s.active_classes())
-        values = ",".join(f"{v:.17g}" for v in s.values)
-        lines.append(f"{s.id},{labels},{values}")
+        lines.append(row % (s.id, labels, *np.asarray(s.values).tolist()))
     write_atomic(csv_path, lambda fh: fh.write("\n".join(lines) + "\n"))
     manifest = {
         "num_classes": dataset.num_classes,
@@ -264,7 +306,7 @@ def load_dataset(path) -> Dataset:
             )
         label_idx = _parse_labels(parts[1], num_classes, lineno)
         try:
-            values = np.array([float(tok) for tok in parts[2:]], dtype=np.float64)
+            values = np.array(parts[2:], dtype=np.float64)
         except ValueError:
             raise DataFormatError(f"line {lineno}: non-numeric signal value") from None
         if not np.isfinite(values).all():

@@ -45,6 +45,18 @@ def test_synth_invalid_classes_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--gain", "nan"), ("--gain", "inf"), ("--noise-sigma", "nan"),
+])
+def test_synth_non_finite_spec_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    code = main(SMALL_SYNTH + [flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     assert main(["synth", "--bogus", "1", "--out", str(tmp_path)]) == 2
 

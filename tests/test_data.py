@@ -1,6 +1,7 @@
 """Synthetic generation, CSV round trips, schema errors, and splitting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from hqcg import (
     ConfigError,
     DataFormatError,
+    Dataset,
     EmptyDatasetError,
+    Sample,
     SyntheticSpec,
     TrainReport,
     build_model,
@@ -102,6 +105,75 @@ def test_save_is_byte_deterministic(tmp_path):
         (tmp_path / "b/manifest.json").read_bytes()
 
 
+def test_value_fields_are_17_significant_digits(tmp_path):
+    row = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, -1.5,
+                    1e300, 123456789012345678.0])
+    rows = [row, -row[::-1]]
+    # a sample whose values are a list saves as the same array would
+    ds = Dataset([Sample("x0", rows[0], np.array([1, 0])),
+                  Sample("x1", rows[1].tolist(), np.array([1, 1]))],
+                 num_classes=2, signal_len=len(row))
+    save_dataset(ds, tmp_path)
+    lines = (tmp_path / "dataset.csv").read_text().splitlines()
+    for line, r in zip(lines[1:], rows):
+        assert line.split(",", 2)[2] == ",".join(f"{v:.17g}" for v in r)
+    back = load_dataset(tmp_path)
+    for r, s in zip(rows, back.samples):
+        assert s.values.dtype == np.float64
+        np.testing.assert_array_equal(s.values.view(np.int64), r.view(np.int64))
+
+
+def test_mid_predict_geometry_round_trips_exactly(tmp_path):
+    spec = SyntheticSpec(num_classes=4, signal_len=4096, num_samples=160, seed=1)
+    ds = generate_synthetic(spec)
+    save_dataset(ds, tmp_path, spec)
+    back = load_dataset(tmp_path)
+    assert [s.id for s in back.samples] == [s.id for s in ds.samples]
+    np.testing.assert_array_equal(np.stack([s.values for s in back.samples]),
+                                  np.stack([s.values for s in ds.samples]))
+    np.testing.assert_array_equal(np.stack([s.labels for s in back.samples]),
+                                  np.stack([s.labels for s in ds.samples]))
+
+
+def _one_sample(sid="x0", values=(0.5, -1.0, 2.0), labels=(0, 1)):
+    return Sample(sid, np.array(values, dtype=np.float64), np.array(labels))
+
+
+@pytest.mark.parametrize("sample, message", [
+    (_one_sample(values=(0.5, np.nan, 2.0)), "NaN or Inf"),
+    (_one_sample(values=(0.5, np.inf, 2.0)), "NaN or Inf"),
+    (_one_sample(values=(0.5, -1.0)), "values have shape"),
+    (_one_sample(values=(0.5, -1.0, 2.0, 3.0)), "values have shape"),
+    (_one_sample(values=[[0.5, -1.0, 2.0]]), "values have shape"),
+    (_one_sample(labels=(1,)), "labels have shape"),
+    (_one_sample(labels=(0, 1, 0)), "labels have shape"),
+    (_one_sample(sid="x,0"), "id must not hold"),
+    (_one_sample(sid="x\n0"), "id must not hold"),
+    (_one_sample(sid="x\r0"), "id must not hold"),
+    (_one_sample(sid="x\u20280"), "id must not hold"),
+], ids=["nan", "inf", "short", "long", "2d", "labels-short", "labels-long",
+        "id-comma", "id-newline", "id-return", "id-line-separator"])
+def test_save_refuses_what_load_rejects(tmp_path, sample, message):
+    ds = Dataset([_one_sample("ok"), sample], num_classes=2, signal_len=3)
+    match = re.escape(f"sample {sample.id!r}: {message}")
+    with pytest.raises(DataFormatError, match=match):
+        save_dataset(ds, tmp_path / "out")
+    assert not (tmp_path / "out" / "dataset.csv").exists()
+
+
+@pytest.mark.parametrize("dataset, error", [
+    (Dataset([], num_classes=2, signal_len=3), EmptyDatasetError),
+    (Dataset([_one_sample(values=())], num_classes=2, signal_len=0),
+     DataFormatError),
+    (Dataset([_one_sample(labels=())], num_classes=0, signal_len=3),
+     DataFormatError),
+], ids=["no-samples", "no-values", "no-classes"])
+def test_save_refuses_empty_geometry(tmp_path, dataset, error):
+    with pytest.raises(error):
+        save_dataset(dataset, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def _write_half_then_fail(fh):
     fh.write('{"half": ')
     raise RuntimeError("serialiser failed")
@@ -144,6 +216,23 @@ def test_nan_rejected(tmp_path):
     path.write_text("id,labels,v0\nx0,0,nan\n")
     with pytest.raises(DataFormatError, match="line 2"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("token, expect", [
+    ("", "non-numeric"), ("0x10", "non-numeric"), ("#1", "non-numeric"),
+    ("abc", "non-numeric"),
+    ("nan", "NaN or Inf"), ("inf", "NaN or Inf"), ("1e999", "NaN or Inf"),
+    (" 1.5", 1.5), ("+1e3", 1000.0),
+])
+def test_value_token_acceptance(tmp_path, token, expect):
+    """The loader accepts and rejects the tokens ``float()`` does."""
+    path = tmp_path / "dataset.csv"
+    path.write_text(f"id,labels,v0,v1\nx0,0,0.25,{token}\n")
+    if isinstance(expect, float):
+        assert load_dataset(path).samples[0].values.tolist() == [0.25, expect]
+    else:
+        with pytest.raises(DataFormatError, match=f"line 2: {expect}"):
+            load_dataset(path)
 
 
 def test_empty_file_rejected(tmp_path):
