@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, check_seed
 from .train import PROB_FLOOR, bce_rows
 
 
@@ -24,6 +24,15 @@ def mlp_param_count(layer_widths) -> int:
     return sum(o * i + o for i, o in zip(layer_widths[:-1], layer_widths[1:]))
 
 
+def _check_widths(layer_widths) -> None:
+    if len(layer_widths) != 4:
+        raise ShapeError(
+            f"expected widths (input, hidden, hidden, classes), got {layer_widths}"
+        )
+    if min(layer_widths) < 1:
+        raise ShapeError(f"layer widths must be at least 1, got {layer_widths}")
+
+
 @dataclass(eq=False)
 class MLPModel:
     """Affine stack with rectifier hidden layers and a logistic output.
@@ -36,13 +45,7 @@ class MLPModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        if len(self.layer_widths) != 4:
-            raise ShapeError(
-                f"expected widths (input, hidden, hidden, classes), "
-                f"got {self.layer_widths}"
-            )
-        if min(self.layer_widths) < 1:
-            raise ShapeError(f"layer widths must be at least 1, got {self.layer_widths}")
+        _check_widths(self.layer_widths)
         self.theta = np.asarray(self.theta, dtype=np.float64)
         want = mlp_param_count(self.layer_widths)
         if self.theta.shape != (want,):
@@ -65,6 +68,8 @@ def build_mlp(input_len: int, hidden: int, num_classes: int,
               seed: int | None = 0) -> MLPModel:
     """Glorot-uniform weights, zero biases, seeded."""
     widths = (input_len, hidden, hidden, num_classes)
+    _check_widths(widths)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     parts = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):

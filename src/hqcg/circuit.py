@@ -16,15 +16,19 @@ factors exactly as U = G (V_{n/g-1} (x) ... (x) V_0): one 2^g x 2^g unitary
 per LQCG block and one 2^(n/g) x 2^(n/g) unitary G on the representatives.
 Each layer is built as that stack of fused block unitaries
 (``chain_unitaries``) and applied one dense block product at a time
-(``apply_param_circuit``); no gate is simulated on its own.
+(``apply_param_circuit(amps, circuit, unitaries)``); no gate runs alone.
 
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring; the ring only permutes basis
 states, so they are built as permuted Kronecker products of single-qubit
-columns (``class_state_trace``). Class scores are state
+columns (``class_state_trace(cols)``). Class scores are state
 fidelities |<psi|phi_i>|^2, computable either directly or through the
 ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``).
+
+Every scoring and gradient call builds its gates, fused blocks and class
+columns once, in ``fused_blocks``; the functions below apply what they are
+given and rebuild nothing from ``theta``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 # perfbench/run.py traces encode_rows through this module's namespace
 from .encoding import encode_rows, row_norms, signal_matrix  # noqa: F401
-from .errors import CapacityError, ConfigError, NumericError, ShapeError
+from .errors import CapacityError, ConfigError, NumericError, ShapeError, check_seed
 from .parallel import map_rows
 # perfbench/run.py also traces apply_controlled_matrix through this
 # module's namespace; only the swap test runs qstate kernels here
@@ -155,14 +159,6 @@ class ParamCircuit:
     def num_params(self) -> int:
         return PARAMS_PER_GATE * len(self.blocks) * self.width
 
-    def angles(self, theta: np.ndarray) -> np.ndarray:
-        """The layer's angles in ``theta`` as a (blocks, k, 3) array."""
-        end = self.param_offset + self.num_params
-        if end > len(theta):
-            raise ShapeError(f"parameter vector of length {len(theta)} too short "
-                             f"for circuit slots up to {end - 1}")
-        return theta[self.param_offset : end].reshape(len(self.blocks), self.width, 3)
-
 
 def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
     """The contiguous qubit blocks of size ``group_size``."""
@@ -253,18 +249,14 @@ def layer_axes(circuit: ParamCircuit):
 
 
 def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
-                        theta: np.ndarray, *, adjoint: bool = False,
-                        unitaries: np.ndarray | None = None) -> np.ndarray:
+                        unitaries: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     """Run the layer, or with ``adjoint`` its inverse, over raw amplitudes
-    (batched over leading axes), one fused block unitary at a time.
-    ``unitaries`` is the layer's ``chain_unitaries`` stack if the caller has
-    built it from ``theta`` already.
+    (batched over leading axes), one block of ``unitaries``, the layer's
+    ``chain_unitaries`` stack, at a time.
 
     In the first order of ``layer_axes`` the top block is one (2^k, 2^k)
     product on every row; the product leaves that block at the bottom, so
     the next block comes on top."""
-    if unitaries is None:
-        unitaries = chain_unitaries(*chain_gates(rotation_matrices(circuit.angles(theta))))
     # right factors: V^T, or conj(V) = (V^dagger)^T for the adjoint
     right = unitaries.conj() if adjoint else unitaries.swapaxes(-1, -2)
     n, k = circuit.num_qubits, circuit.width
@@ -299,11 +291,9 @@ def _ring_preimage(num_qubits: int) -> np.ndarray:
     return idx
 
 
-def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None):
-    """Class states from a (C, 3n) block of angles, one row per class, plus
-    the partial products they are built from. ``cols`` are the (C, n, 2)
-    single-qubit columns u_q|0> if the caller has computed them from
-    ``angles``.
+def class_state_trace(cols: np.ndarray):
+    """Class states from their (C, n, 2) single-qubit columns u_q|0>, one
+    row per class, plus the partial products they are built from.
 
     The ansatz puts each qubit in u_q|0> and closes with a CNOT ring. The
     ring only permutes basis states, so each class state is that
@@ -312,14 +302,7 @@ def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None
     product_0, ..., product_{n-2} come back as a list of (C, 2^(q+1))
     arrays, which ``grad.class_gradients`` reads in reverse.
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim != 2 or angles.shape[1] != 3 * num_qubits:
-        raise ShapeError(
-            f"class state on {num_qubits} qubits needs {3 * num_qubits} angles "
-            f"per class, got an array of shape {angles.shape}"
-        )
-    if cols is None:
-        cols = rotation_matrices(angles.reshape(len(angles), num_qubits, 3))[..., 0]
+    num_qubits = cols.shape[1]
     products = [cols[:, 0]]
     for q in range(1, num_qubits):
         products.append((cols[:, q, :, None] * products[-1][:, None, :])
@@ -329,8 +312,12 @@ def class_state_trace(num_qubits: int, angles, *, cols: np.ndarray | None = None
 
 def build_class_state(num_qubits: int, class_params) -> Statevector:
     """Learnable per-class state: per-qubit rotations, then the CNOT ring."""
-    angles = np.asarray(class_params, dtype=np.float64).reshape(1, -1)
-    return Statevector(num_qubits, class_state_trace(num_qubits, angles)[0][0])
+    angles = np.asarray(class_params, dtype=np.float64)
+    if angles.size != 3 * num_qubits:
+        raise ShapeError(f"class state on {num_qubits} qubits needs {3 * num_qubits} "
+                         f"angles, got an array of shape {angles.shape}")
+    cols = rotation_matrices(angles.reshape(1, num_qubits, 3))[..., 0]
+    return Statevector(num_qubits, class_state_trace(cols)[0][0])
 
 
 # --- model --------------------------------------------------------------------
@@ -389,6 +376,10 @@ class HQCGModel:
 def build_model(num_qubits: int, group_size: int, num_classes: int,
                 seed: int | None = 0, theta=None) -> HQCGModel:
     """Assemble a model; theta defaults to seeded Uniform(-pi, pi)."""
+    # below one qubit, _groups names the count; above the cap nothing is built
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(f"qubit count {num_qubits} is above the {MAX_QUBITS}-qubit cap")
+    check_seed(seed)
     lqcg = build_lqcg(num_qubits, group_size, param_offset=0)
     gqcg = build_gqcg(num_qubits, group_size, param_offset=lqcg.num_params)
     if num_classes < 1:
@@ -401,9 +392,12 @@ def build_model(num_qubits: int, group_size: int, num_classes: int,
 
 
 def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> np.ndarray:
-    """All class states stacked as a (num_classes, 2^n) matrix; ``cols`` as
-    in ``class_state_trace``."""
-    return class_state_trace(model.num_qubits, model.class_angle_block(), cols=cols)[0]
+    """All class states stacked as a (num_classes, 2^n) matrix, from their
+    ``fused_blocks`` columns if the caller has them."""
+    if cols is None:
+        cols = rotation_matrices(model.class_angle_block().reshape(
+            model.num_classes, model.num_qubits, 3))[..., 0]
+    return class_state_trace(cols)[0]
 
 
 def split_triples(model: HQCGModel, rows: np.ndarray):
@@ -417,15 +411,21 @@ def split_triples(model: HQCGModel, rows: np.ndarray):
         (rows[hi:], (model.num_classes, model.num_qubits))))
 
 
-def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries=(None, None)):
+def fused_blocks(model: HQCGModel, mats: np.ndarray):
+    """The (LQCG, GQCG) ``chain_gates``, their ``chain_unitaries`` stacks and
+    the (C, n, 2) class columns u_q|0> from ``mats``, the (..., 2, 2)
+    rotation matrices of every (a, b, c) triple of ``model.theta``."""
+    *layers, classes = split_triples(model, mats)
+    gates = [chain_gates(m) for m in layers]
+    return gates, [chain_unitaries(*g) for g in gates], classes[..., 0]
+
+
+def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries):
     """(G^dagger Phi, U^dagger Phi): the (C, 2^n) class states swept back
-    through GQCG, then through LQCG, with conjugate-transposed fused blocks.
-    ``unitaries`` holds the (LQCG, GQCG) ``chain_unitaries`` stacks if the
-    caller has built them from ``model.theta``."""
-    beta = apply_param_circuit(class_states, model.gqcg, model.theta, adjoint=True,
-                               unitaries=unitaries[1])
-    return beta, apply_param_circuit(beta, model.lqcg, model.theta, adjoint=True,
-                                     unitaries=unitaries[0])
+    through GQCG, then through LQCG, with the conjugate transposes of the
+    (LQCG, GQCG) ``chain_unitaries`` stacks in ``unitaries``."""
+    beta = apply_param_circuit(class_states, model.gqcg, unitaries[1], adjoint=True)
+    return beta, apply_param_circuit(beta, model.lqcg, unitaries[0], adjoint=True)
 
 
 def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
@@ -452,10 +452,8 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     if not np.isfinite(model.theta).all():
         raise NumericError("non-finite model parameters")
     signals = signal_matrix(signals)
-    *layers, classes = split_triples(model, rotation_matrices(model.theta.reshape(-1, 3)))
-    states = class_state_matrix(model, cols=classes[..., 0])
-    unitaries = [chain_unitaries(*chain_gates(mats)) for mats in layers]
-    pulled = pull_back(model, states, unitaries)[1]
+    _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
+    pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
 
     def probs_chunk(chunk):
         re, im = conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled)

@@ -151,9 +151,13 @@ def _build_classical(args, dataset: Dataset):
     return model, baseline.mlp_gradients, baseline.mlp_forward_batch, meta
 
 
-def _run_training(args, dataset, kind, out_dir: Path):
-    builder = _build_quantum if kind == "quantum" else _build_classical
-    model, loss_grad_fn, predict_fn, meta = builder(args, dataset)
+_BUILDERS = {"quantum": _build_quantum, "classical": _build_classical}
+
+
+def _run_training(args, dataset, kind, built, out_dir: Path):
+    """Train the ``built`` (model, loss_grad_fn, predict_fn, meta) of ``kind``
+    and write its checkpoint, metrics and curves into ``out_dir``."""
+    model, loss_grad_fn, predict_fn, meta = built
     cfg = _train_config(args)
     train_set, val_set = split(dataset, 1.0 - args.val_fraction, args.seed)
     model, report = train_loop(model, train_set.samples, val_set.samples,
@@ -205,7 +209,8 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     out = Path(args.out)
     with _output_lock(out):
-        _, report, meta, _ = _run_training(args, dataset, args.model, out)
+        built = _BUILDERS[args.model](args, dataset)
+        _, report, meta, _ = _run_training(args, dataset, args.model, built, out)
     print(_final_line(args.model, report, meta))
     return EXIT_OK
 
@@ -277,9 +282,10 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     results = []
     with _output_lock(out):
-        for kind in ("quantum", "classical"):
-            sub = out / kind
-            _, report, meta, _ = _run_training(args, dataset, kind, sub)
+        # both models are built, so their flags are checked, before either trains
+        built = {kind: build(args, dataset) for kind, build in _BUILDERS.items()}
+        for kind, parts in built.items():
+            _, report, meta, _ = _run_training(args, dataset, kind, parts, out / kind)
             results.append((kind, report, meta))
             print(_final_line(kind, report, meta))
     print()

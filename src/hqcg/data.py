@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, EmptyDatasetError
+from .errors import ConfigError, DataFormatError, EmptyDatasetError, check_seed
 
 CSV_NAME = "dataset.csv"
 MANIFEST_NAME = "manifest.json"
@@ -79,6 +79,7 @@ class SyntheticSpec:
             raise ConfigError(f"signal_len must be >= 1, got {self.signal_len}")
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
+        check_seed(self.seed)
         if self.region_size is None:
             object.__setattr__(self, "region_size",
                                max(1, self.signal_len // (2 * self.num_classes)))
@@ -347,6 +348,7 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
         raise ConfigError(
             f"split of {n} samples at fraction {fraction} leaves one side empty"
         )
+    check_seed(seed)
     perm = np.random.default_rng(seed).permutation(n)
     first = [dataset.samples[i] for i in perm[:n_first]]
     second = [dataset.samples[i] for i in perm[n_first:]]

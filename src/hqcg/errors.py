@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed check that
+raises one."""
 
 
 class HqcgError(Exception):
@@ -19,6 +20,13 @@ class StateError(HqcgError):
 
 class ConfigError(HqcgError):
     """Invalid configuration value (layer layout, hyperparameter, CLI flag)."""
+
+
+def check_seed(seed: int | None) -> None:
+    """Reject a negative seed, which numpy's generators refuse with a bare
+    ValueError; ``None`` draws fresh entropy where a caller allows it."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 class EncodingError(HqcgError):

@@ -15,7 +15,8 @@ method of Jones & Gacon 2020 (arXiv:2009.02823) runs over the C pairs
 (phi_i, r_i) instead of the B samples. Six (C, 2^n) arrays carry the whole
 step, however many gates there are: phi, beta = G^dagger phi and
 w = V^dagger beta from the pull-back, and r, u = V r and xi = G u from the
-forward push (``_forward_trace``).
+forward push (``_forward_trace``), both by the fused blocks that
+``circuit.fused_blocks`` builds once per step with the class columns.
 
 An angle of block b of LQCG gives <beta| I (x) dV_b |r> =
 <w| I (x) V_b^dagger dV_b |r>, and an angle of GQCG gives
@@ -33,7 +34,7 @@ derivative is ever applied to a state.
 Class-state angles take dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class
 state is a fixed basis permutation P of a product of single-qubit columns
 u_q|0>, built as product_q = col_q (x) product_{q-1}
-(``circuit.class_state_trace``). ``class_gradients`` runs that loop
+(``circuit.class_state_trace(cols)``). ``class_gradients`` runs that loop
 backwards over the partial products: with t_i = conj(xi_i)[P], column q's
 environment is t_i on qubit q contracted with product_{q-1}, and folding
 t_i against col_q leaves the contraction for the next column down. The
@@ -54,10 +55,10 @@ from .circuit import (
     apply_param_circuit,
     chain_gates,
     chain_rows,
-    chain_unitaries,
     class_state_trace,
     conj_overlaps,
     forward_batch,
+    fused_blocks,
     layer_axes,
     pull_back,
     rotations,
@@ -88,12 +89,12 @@ def _check_batch(model: HQCGModel, signals, labels):
     return signals, labels
 
 
-def _forward_trace(model: HQCGModel, kets, unitaries=(None, None)):
+def _forward_trace(model: HQCGModel, kets, unitaries):
     """The folded (C, 2^n) kets r pushed through LQCG, u = V r, and then
-    through GQCG, xi = G u, with the states the gradient keeps from this
-    sweep. ``unitaries`` is as in ``circuit.pull_back``."""
-    u = apply_param_circuit(kets, model.lqcg, model.theta, unitaries=unitaries[0])
-    xi = apply_param_circuit(u, model.gqcg, model.theta, unitaries=unitaries[1])
+    through GQCG, xi = G u, by the (LQCG, GQCG) ``chain_unitaries`` stacks
+    in ``unitaries``, with the states the gradient keeps from this sweep."""
+    u = apply_param_circuit(kets, model.lqcg, unitaries[0])
+    xi = apply_param_circuit(u, model.gqcg, unitaries[1])
     return u, xi, [kets, u, xi]
 
 
@@ -176,18 +177,14 @@ def batch_loss(model: HQCGModel, signals, labels) -> float:
 def loss_and_gradients(model: HQCGModel, signals, labels):
     """(mean batch BCE, exact gradient w.r.t. every model parameter)."""
     signals, labels = _check_batch(model, signals, labels)
-    n = model.num_qubits
     # every gate matrix, class column and derivative in one closed-form call
     mats, dmats = rotations(model.theta.reshape(-1, 3))
-    *layer_mats, class_mats = split_triples(model, mats)
+    gates, unitaries, cols = fused_blocks(model, mats)
     *layer_dmats, class_dmats = split_triples(model, dmats)
-    gates = [chain_gates(m) for m in layer_mats]
     dgates = [chain_gates(d.swapaxes(1, 2), identity=0.0) for d in layer_dmats]
-    unitaries = [chain_unitaries(*g) for g in gates]
 
-    norms = row_norms(signals, n)
-    cols = class_mats[..., 0]
-    states, products = class_state_trace(n, model.class_angle_block(), cols=cols)
+    norms = row_norms(signals, model.num_qubits)
+    states, products = class_state_trace(cols)
     beta, pulled = pull_back(model, states, unitaries)
     re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
     probs = re * re + im * im

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import stack_samples, write_atomic, write_json
-from .errors import ConfigError, NumericError, ShapeError, UndefinedMetricError
+from .errors import ConfigError, NumericError, ShapeError, UndefinedMetricError, \
+    check_seed
 
 PROB_FLOOR = 1e-7  # BCE clamp: probabilities restricted to [floor, 1 - floor]
 
@@ -56,6 +57,7 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.eps_adam <= 0:
             raise ConfigError(f"eps_adam must be > 0, got {self.eps_adam}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

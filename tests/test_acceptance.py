@@ -23,7 +23,7 @@ from hqcg import (
     required_qubits,
     swap_test_fidelity,
 )
-from hqcg.circuit import apply_param_circuit
+from hqcg.circuit import apply_param_circuit, fused_blocks, rotation_matrices
 from hqcg.cli import main
 from hqcg.grad import finite_diff_oracle, loss_and_gradients
 from hqcg.baseline import MLPModel, mlp_gradients, mlp_param_count
@@ -164,11 +164,12 @@ def test_criterion_5_structural_counts(capsys):
 def test_criterion_6_zero_parameter_identity():
     rng = np.random.default_rng(1006)
     model = build_model(8, 4, 2, theta=np.zeros(3 * 8 + 3 * 2 + 3 * 8 * 2))
+    lqcg, gqcg = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))[1]
     worst = 0.0
     for _ in range(100):
         amps = random_state_vector(rng, 8)[None, :]
-        out = apply_param_circuit(amps, model.lqcg, model.theta)
-        out = apply_param_circuit(out, model.gqcg, model.theta)
+        out = apply_param_circuit(amps, model.lqcg, lqcg)
+        out = apply_param_circuit(out, model.gqcg, gqcg)
         worst = max(worst, float(np.abs(out - amps).max()))
     ok = worst <= 1e-12
     _criterion(6, ok, f"theta=0 layer composition deviates {worst:.2e} "

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hqcg import (
+    MAX_QUBITS,
     CapacityError,
     ConfigError,
     HqcgError,
@@ -20,13 +21,18 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, rotation_matrices, rotation_matrix, \
-    rotations
+from hqcg.circuit import apply_param_circuit, chain_gates, chain_unitaries, fused_blocks, \
+    rotation_matrices, rotation_matrix, rotations
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
 
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def _stacks(model):
+    """The (LQCG, GQCG) ``chain_unitaries`` stacks of ``model.theta``."""
+    return fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))[1]
 
 
 def _random_states(rng, n, count):
@@ -115,6 +121,13 @@ def test_gqcg_wiring_eight():
 def test_gqcg_single_group_error():
     with pytest.raises(ConfigError):
         build_gqcg(4, 4)
+
+
+def test_build_model_above_qubit_cap_raises_before_building():
+    # MAX_QUBITS + 1 = 27 is nine groups of 3, a valid layout: only the cap
+    # rejects it, before any layer or theta exists
+    with pytest.raises(CapacityError, match=f"qubit count {MAX_QUBITS + 1} is above"):
+        build_model(MAX_QUBITS + 1, 3, 2)
 
 
 def test_param_slots_are_contiguous():
@@ -231,18 +244,20 @@ def test_layers_preserve_norm_for_random_angles():
     rng = np.random.default_rng(7)
     model = build_model(8, 4, 2, seed=3)
     amps = encode_rows(rng.normal(size=(5, 200)), 8)
-    out = apply_param_circuit(amps, model.lqcg, model.theta)
-    out = apply_param_circuit(out, model.gqcg, model.theta)
+    lqcg, gqcg = _stacks(model)
+    out = apply_param_circuit(amps, model.lqcg, lqcg)
+    out = apply_param_circuit(out, model.gqcg, gqcg)
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
 
 def test_zero_theta_layers_are_identity():
     rng = np.random.default_rng(8)
     model = build_model(8, 4, 2, theta=np.zeros(3 * 8 + 6 + 3 * 8 * 2))
+    lqcg, gqcg = _stacks(model)
     for _ in range(10):
         amps = random_state_vector(rng, 8)[None, :]
-        out = apply_param_circuit(amps, model.lqcg, model.theta)
-        out = apply_param_circuit(out, model.gqcg, model.theta)
+        out = apply_param_circuit(amps, model.lqcg, lqcg)
+        out = apply_param_circuit(out, model.gqcg, gqcg)
         np.testing.assert_allclose(out, amps, atol=1e-12)
 
 
@@ -253,7 +268,8 @@ def test_single_group_entangles_chain_qubits():
     plus = np.full(4, 0.5, dtype=complex)  # |+>|+>
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi, 6)
-        out = apply_param_circuit(plus[None, :], lqcg, theta)[0]
+        stack = chain_unitaries(*chain_gates(rotation_matrices(theta.reshape(1, 2, 3))))
+        out = apply_param_circuit(plus[None, :], lqcg, stack)[0]
         purity = qubit_purity(out, 2, 0)
         assert purity < 1.0 - 1e-6
 

@@ -1,7 +1,11 @@
 """CLI commands: file outputs, exit codes, determinism, error surfaces."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ import hqcg.circuit
 import hqcg.grad
 from hqcg import ConfigError, ShapeError
 from hqcg.cli import load_model, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SMALL_SYNTH = ["synth", "--classes", "3", "--len", "32", "--samples", "60",
                "--seed", "5"]
@@ -486,3 +492,85 @@ def test_config_choices_field_rejects_unknown_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'model'" in err and "quantum, classical" in err
     assert not (tmp_path / "r" / "model.json").exists()
+
+
+
+def _error_line(err: str, text: str) -> None:
+    """One ``error:`` line naming ``text``, and no traceback."""
+    assert err.count("error:") == 1 and text in err, err
+    assert "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["synth", "train-quantum", "train-classical", "eval"])
+def test_negative_seed_exits_2_naming_the_seed(trained, tmp_path, capsys, command):
+    data_dir, docs = trained
+    out = str(tmp_path / "out")
+    if command == "synth":
+        argv = SMALL_SYNTH + ["--seed", "-1", "--out", out]
+    elif command == "eval":
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(dict(docs["quantum"], seed=-1)))
+        argv = ["eval", "--model-path", str(bad), "--data", str(data_dir), "--out", out]
+    else:
+        argv = ["train", "--data", str(data_dir), "--out", out] + SMALL_TRAIN \
+            + ["--seed", "-1", "--model", command.split("-")[1]]
+    assert main(argv) == 2
+    _error_line(capsys.readouterr().err, "seed must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("hidden", ["0", "-1"])
+def test_non_positive_hidden_exits_2_before_training(trained, tmp_path, capsys,
+                                                     monkeypatch, command, hidden):
+    calls = []
+    step = hqcg.grad.loss_and_gradients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(hqcg.grad, "loss_and_gradients", counting)
+    argv = [command, "--data", str(trained[0]), "--out", str(tmp_path / "r")] \
+        + SMALL_TRAIN + ["--hidden", hidden]
+    assert main(argv + (["--model", "classical"] if command == "train" else [])) == 2
+    _error_line(capsys.readouterr().err, f"layer widths must be at least 1, got (32, {hidden}")
+    assert calls == []
+
+
+def test_inspect_above_qubit_cap_exits_2(capsys):
+    assert main(["inspect", "--qubits", "27", "--group-size", "3"]) == 2
+    _error_line(capsys.readouterr().err, "qubit count 27 is above the 26-qubit cap")
+
+
+# Run in a child whose address space is capped at 2 GiB: without the cap
+# check these commands end in a MemoryError (exit 1), not in host exhaustion.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from hqcg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["predict-40-qubits", "train-27-qubits"])
+def test_above_qubit_cap_exits_2_before_allocating(trained, tmp_path, command):
+    data_dir, docs = trained
+    if command == "train-27-qubits":
+        argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                "--qubits", "27", "--group-size", "3", "--epochs", "1"]
+        count = 27
+    else:
+        # a well-formed 40-qubit checkpoint: 10 groups of 4, 3 classes
+        theta = [0.0] * (3 * 40 + 3 * 10 + 3 * 40 * 3)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(dict(docs["quantum"], num_qubits=40, group_size=4,
+                                       theta=theta)))
+        argv = ["predict", "--model-path", str(bad), "--data", str(data_dir)]
+        count = 40
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+        OPENBLAS_NUM_THREADS="1", HQCG_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    _error_line(proc.stderr, f"qubit count {count} is above the 26-qubit cap")

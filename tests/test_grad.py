@@ -188,7 +188,7 @@ def _gate_ops(circuit, theta, deriv):
     replaced by P1 (x) dU/d(angle j) for ``deriv = (i, j)``."""
     ops = [gate_matrix(circuit.num_qubits, g) for g in _gates(circuit, theta)]
     gate = circuit.gates[deriv[0]]
-    dmats = rotations(circuit.angles(theta).reshape(-1, 3))[1]
+    dmats = rotations(theta.reshape(-1, 3))[1]
     ops[deriv[0]] = site_matrix(circuit.num_qubits,
                                 {gate.control: P1, gate.target: dmats[deriv]})
     return ops
@@ -203,7 +203,8 @@ def test_fused_layers_match_dense_gate_product(n):
     for circuit in _layers(n):
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
         gates = _gates(circuit, theta)
-        blocks = chain_unitaries(*chain_gates(rotation_matrices(circuit.angles(theta))))
+        angles = theta.reshape(len(circuit.blocks), circuit.width, 3)
+        blocks = chain_unitaries(*chain_gates(rotation_matrices(angles)))
         for block, fused in zip(circuit.blocks, blocks):
             local = {q: j for j, q in enumerate(block)}
             want = circuit_matrix(len(block), [Controlled(local[g.control], local[g.target],
@@ -213,16 +214,16 @@ def test_fused_layers_match_dense_gate_product(n):
         if n <= 8:
             dense = circuit_matrix(n, gates)
             eye = np.eye(1 << n, dtype=complex)
-            np.testing.assert_allclose(apply_param_circuit(eye, circuit, theta).T, dense,
+            np.testing.assert_allclose(apply_param_circuit(eye, circuit, blocks).T, dense,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(apply_param_circuit(eye, circuit, theta, adjoint=True).T,
+            np.testing.assert_allclose(apply_param_circuit(eye, circuit, blocks, adjoint=True).T,
                                        dense.conj().T, rtol=0, atol=1e-12)
         else:
             states = [Statevector(n, random_state_vector(rng, n)) for _ in range(3)]
             kets = np.array([psi.amplitudes for psi in states])
             for g in gates:
                 states = [apply_gate(psi, g) for psi in states]
-            np.testing.assert_allclose(apply_param_circuit(kets, circuit, theta),
+            np.testing.assert_allclose(apply_param_circuit(kets, circuit, blocks),
                                        [psi.amplitudes for psi in states], rtol=0, atol=1e-12)
 
 
@@ -234,14 +235,16 @@ def test_block_environment_derivatives_match_dense_derivative(n):
     rng = np.random.default_rng(28 + n)
     for circuit in _layers(n):
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
-        mats, dmats = rotations(circuit.angles(theta))
+        mats, dmats = rotations(theta.reshape(len(circuit.blocks), circuit.width, 3))
+        gates = chain_gates(mats)
+        blocks = chain_unitaries(*gates)
         bra = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         ket = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         got = []
         for phase in (1.0, 1j):
-            pulled = apply_param_circuit(phase * bra, circuit, theta, adjoint=True)
+            pulled = apply_param_circuit(phase * bra, circuit, blocks, adjoint=True)
             envs = block_environments(pulled, ket, circuit)
-            got.append(chain_gradients(envs, chain_gates(mats),
+            got.append(chain_gradients(envs, gates,
                                        chain_gates(dmats.swapaxes(1, 2), identity=0.0)))
         got = (got[0] + 1j * got[1]).reshape(-1, 3)
         for i, j in itertools.product(range(len(circuit.gates)), range(3)):
@@ -296,7 +299,7 @@ def test_class_gradients_match_dense_derivative(n):
     rng = np.random.default_rng(40 + n)
     angles = rng.uniform(-np.pi, np.pi, (3, 3 * n))
     mats, dmats = rotations(angles.reshape(3, n, 3))
-    _, products = class_state_trace(n, angles)
+    _, products = class_state_trace(mats[..., 0])
     xi = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
     got = class_gradients(xi, mats[..., 0], products, dmats[:, :, 1:, :, 0])
     x_gate = np.array([[0, 1], [1, 0]], dtype=complex)

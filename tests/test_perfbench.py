@@ -34,3 +34,9 @@ def test_traced_mid_predict_run_records_layer_spans():
     metrics = _run("mid-predict", 1)["metrics"]
     for name in ("circuit.lqcg.s", "circuit.gqcg.s", "grad.forward.s"):
         assert metrics[name]["value"] > 0, name
+    # one class-state build per forward and one per gradient step: the
+    # forward's class_state_matrix span and the gradient's class_state_trace
+    # span both bind
+    calls = {name: metrics[f"circuit.{name}.calls"]["value"]
+             for name in ("class_states", "forward_batch")}
+    assert calls["class_states"] > calls["forward_batch"], calls

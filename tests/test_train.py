@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hqcg
 from hqcg import (
     ConfigError,
     ShapeError,
@@ -22,6 +23,7 @@ from hqcg import (
     roc_auc,
     train_loop,
 )
+from hqcg.baseline import mlp_param_count
 from hqcg.data import Sample
 from oracles import pairwise_auc, reference_adamw
 
@@ -205,6 +207,24 @@ def test_train_loop_metrics_all_finite():
         for name, value in dataclasses.asdict(record).items():
             assert np.isfinite(value), name
         assert record.train_loss >= 0 and record.val_loss >= 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hqcg.SyntheticSpec(num_classes=2, signal_len=8, num_samples=4, seed=-1),
+    lambda: TrainConfig(seed=-1),
+    lambda: hqcg.split(hqcg.generate_synthetic(
+        hqcg.SyntheticSpec(num_classes=2, signal_len=8, num_samples=4)), 0.5, -1),
+    lambda: hqcg.build_model(4, 2, 2, seed=-1),
+    lambda: build_mlp(4, 3, 2, seed=-1),
+], ids=["SyntheticSpec", "TrainConfig", "split", "build_model", "build_mlp"])
+def test_negative_seed_is_a_config_error(make):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        make()
+
+
+def test_model_builders_still_take_seed_none():
+    assert hqcg.build_model(4, 2, 2, seed=None).theta.shape == (3 * 4 + 6 + 3 * 4 * 2,)
+    assert build_mlp(4, 3, 2, seed=None).theta.size == mlp_param_count((4, 3, 3, 2))
 
 
 def test_train_config_validation():
