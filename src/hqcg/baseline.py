@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError, check_seed
-from .train import PROB_FLOOR, bce_rows
+from .train import PROB_FLOOR, bce_rows, check_batch, mean_loss
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -51,6 +51,10 @@ class MLPModel:
         if self.theta.shape != (want,):
             raise ShapeError(f"theta must have length {want}, got {self.theta.shape}")
 
+    @property
+    def num_classes(self) -> int:
+        return self.layer_widths[-1]
+
     def layers(self):
         """Views (W, b) per layer into the flat parameter vector."""
         out = []
@@ -79,24 +83,22 @@ def build_mlp(input_len: int, hidden: int, num_classes: int,
     return MLPModel(widths, np.concatenate(parts))
 
 
-def _forward_pass(model: MLPModel, signals: np.ndarray):
-    (w1, b1), (w2, b2), (w3, b3) = model.layers()
-    z1 = signals @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2.T + b2
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ w3.T + b3
-    return z1, a1, z2, a2, _sigmoid(z3)
+def _forward_pass(model: MLPModel, signals: np.ndarray) -> list[np.ndarray]:
+    """The activations of every layer on a checked signal batch, the signals
+    first and the probabilities last."""
+    if signals.shape[1] != model.layer_widths[0]:
+        raise ShapeError(f"expected (batch, {model.layer_widths[0]}) signals, "
+                         f"got shape {signals.shape}")
+    *hidden, (w_out, b_out) = model.layers()
+    acts = [signals]
+    for w, b in hidden:
+        acts.append(np.maximum(acts[-1] @ w.T + b, 0.0))
+    return acts + [_sigmoid(acts[-1] @ w_out.T + b_out)]
 
 
 def mlp_forward_batch(model: MLPModel, signals) -> np.ndarray:
     """Class probabilities for a (batch, length) matrix."""
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[1] != model.layer_widths[0]:
-        raise ShapeError(
-            f"expected (batch, {model.layer_widths[0]}) signals, "
-            f"got shape {signals.shape}"
-        )
+    signals, _ = check_batch(model, signals)
     return _forward_pass(model, signals)[-1]
 
 
@@ -108,40 +110,21 @@ def mlp_forward(model: MLPModel, signal) -> np.ndarray:
 
 def mlp_gradients(model: MLPModel, signals, labels):
     """(mean batch BCE, exact backprop gradient as a flat vector)."""
-    signals = np.asarray(signals, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[0] == 0:
-        raise ShapeError(f"expected a non-empty batch, got shape {signals.shape}")
-    if labels.shape != (signals.shape[0], model.layer_widths[-1]):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match "
-            f"({signals.shape[0]}, {model.layer_widths[-1]})"
-        )
-    batch, num_classes = labels.shape
-    z1, a1, z2, a2, probs = _forward_pass(model, signals)
-    rows = bce_rows(probs, labels)
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NumericError(f"non-finite loss for batch row {idx}", sample_index=idx)
-    loss = float(rows.mean())
+    signals, labels = check_batch(model, signals, labels)
+    acts = _forward_pass(model, signals)
+    probs = acts.pop()
+    loss = mean_loss(bce_rows(probs, labels))
 
-    (w1, _), (w2, _), (w3, _) = model.layers()
-    # dL/dz3 = (p - y) / C inside the clamp, 0 where it saturates.
+    # dL/dz = (p - y) / (B C) at the output inside the clamp, 0 where it
+    # saturates; a rectifier passes it back where its activation is positive
     inside = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
-    dz3 = np.where(inside, probs - labels, 0.0) / (num_classes * batch)
-    dw3 = dz3.T @ a2
-    db3 = dz3.sum(axis=0)
-    da2 = dz3 @ w3
-    dz2 = da2 * (z2 > 0.0)
-    dw2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
-    da1 = dz2 @ w2
-    dz1 = da1 * (z1 > 0.0)
-    dw1 = dz1.T @ signals
-    db1 = dz1.sum(axis=0)
-
-    grads = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2, dw3.ravel(), db3])
+    delta = np.where(inside, probs - labels, 0.0) / labels.size
+    parts = []
+    for i, (w, _) in reversed(list(enumerate(model.layers()))):
+        parts[:0] = [(delta.T @ acts[i]).ravel(), delta.sum(axis=0)]
+        if i:
+            delta = (delta @ w) * (acts[i] > 0.0)
+    grads = np.concatenate(parts)
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads

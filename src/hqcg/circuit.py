@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 # perfbench/run.py traces encode_rows through this module's namespace
-from .encoding import encode_rows, row_norms, signal_matrix  # noqa: F401
-from .errors import CapacityError, ConfigError, NumericError, ShapeError, check_seed
+from .encoding import encode_rows, row_norms  # noqa: F401
+from .errors import CapacityError, ConfigError, ShapeError, check_seed
 from .parallel import map_rows
 # perfbench/run.py also traces apply_controlled_matrix through this
 # module's namespace; only the swap test runs qstate kernels here
@@ -50,8 +50,10 @@ from .qstate import (  # noqa: F401
     apply_controlled_matrix,
     apply_single_matrix,
     apply_swap_kernel,
+    check_qubits,
     inner_product,
 )
+from .train import check_batch
 
 PARAMS_PER_GATE = 3
 
@@ -167,6 +169,8 @@ def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
     if num_qubits < group_size or num_qubits % group_size != 0:
         raise ConfigError(f"qubit count {num_qubits} is not a positive multiple "
                           f"of group size {group_size}")
+    # above the cap, refuse before one tuple per group is built
+    check_qubits(num_qubits)
     return [tuple(range(start, start + group_size))
             for start in range(0, num_qubits, group_size)]
 
@@ -270,23 +274,17 @@ def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
 # --- learnable class states ---------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _ring_permutation(num_qubits: int) -> np.ndarray:
+@lru_cache(maxsize=128)
+def _ring_permutation(num_qubits: int, inverse: bool = False) -> np.ndarray:
     """Image of every basis index under the CNOT ring CNOT(k -> k+1 mod n),
-    k = 0..n-1; the identity for one qubit, where there is no ring."""
+    k = 0..n-1, or with ``inverse`` its preimage: the same self-inverse
+    gates in reverse order. The identity for one qubit, where there is no
+    ring."""
     idx = np.arange(1 << num_qubits)
     if num_qubits > 1:
-        for k in range(num_qubits):
+        gates = range(num_qubits)
+        for k in (reversed(gates) if inverse else gates):
             idx ^= ((idx >> k) & 1) << ((k + 1) % num_qubits)
-    idx.setflags(write=False)
-    return idx
-
-
-@lru_cache(maxsize=64)
-def _ring_preimage(num_qubits: int) -> np.ndarray:
-    """Preimage of every basis index under the CNOT ring, so that the ring
-    permutes a state by a gather rather than a scatter."""
-    idx = np.argsort(_ring_permutation(num_qubits))
     idx.setflags(write=False)
     return idx
 
@@ -300,18 +298,21 @@ def class_state_trace(cols: np.ndarray):
     permutation of the Kronecker product of its n columns, qubit q on bit q,
     built as product_q = col_q (x) product_{q-1}. The partial products
     product_0, ..., product_{n-2} come back as a list of (C, 2^(q+1))
-    arrays, which ``grad.class_gradients`` reads in reverse.
+    arrays, which ``grad.class_gradients`` reads in reverse. The ring
+    permutes the last product by a gather through its preimage.
     """
     num_qubits = cols.shape[1]
     products = [cols[:, 0]]
     for q in range(1, num_qubits):
         products.append((cols[:, q, :, None] * products[-1][:, None, :])
                         .reshape(len(cols), -1))
-    return np.take(products.pop(), _ring_preimage(num_qubits), axis=1), products
+    return (np.take(products.pop(), _ring_permutation(num_qubits, inverse=True), axis=1),
+            products)
 
 
 def build_class_state(num_qubits: int, class_params) -> Statevector:
     """Learnable per-class state: per-qubit rotations, then the CNOT ring."""
+    check_qubits(num_qubits)
     angles = np.asarray(class_params, dtype=np.float64)
     if angles.size != 3 * num_qubits:
         raise ShapeError(f"class state on {num_qubits} qubits needs {3 * num_qubits} "
@@ -376,11 +377,9 @@ class HQCGModel:
 def build_model(num_qubits: int, group_size: int, num_classes: int,
                 seed: int | None = 0, theta=None) -> HQCGModel:
     """Assemble a model; theta defaults to seeded Uniform(-pi, pi)."""
-    # below one qubit, _groups names the count; above the cap nothing is built
-    if num_qubits > MAX_QUBITS:
-        raise CapacityError(f"qubit count {num_qubits} is above the {MAX_QUBITS}-qubit cap")
-    check_seed(seed)
+    # _groups names a count below one qubit and refuses one above the cap
     lqcg = build_lqcg(num_qubits, group_size, param_offset=0)
+    check_seed(seed)
     gqcg = build_gqcg(num_qubits, group_size, param_offset=lqcg.num_params)
     if num_classes < 1:
         raise ConfigError(f"need at least one class, got {num_classes}")
@@ -449,9 +448,7 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     parts of the pulled-back states. A batch of at most 8 MiB of signal is
     one chunk, scored on the calling thread. No per-sample state is built.
     """
-    if not np.isfinite(model.theta).all():
-        raise NumericError("non-finite model parameters")
-    signals = signal_matrix(signals)
+    signals, _ = check_batch(model, signals)
     _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
     pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, EncodingError
-from .qstate import MAX_QUBITS, Statevector
+from .qstate import Statevector, check_qubits
 
 
 def required_qubits(length: int) -> int:
@@ -29,24 +29,15 @@ def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
     return Statevector(n, encode_rows(v.reshape(1, -1), n)[0])
 
 
-def signal_matrix(signals) -> np.ndarray:
-    """``signals`` as a float64 (batch, length) matrix with length >= 1."""
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[1] == 0:
-        raise EncodingError(
-            f"expected a (batch, length) matrix, got shape {signals.shape}")
-    return signals
-
-
 def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
     """L2 norm of every row of a (batch, length) matrix, once the rows are
     known to fit ``num_qubits`` and to be encodable: finite, not all zero,
     and with a norm that does not overflow."""
-    signals = signal_matrix(signals)
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim != 2 or signals.shape[1] == 0:
+        raise EncodingError(
+            f"expected a (batch, length) matrix, got shape {signals.shape}")
+    check_qubits(num_qubits)
     if signals.shape[1] > (1 << num_qubits):
         raise CapacityError(
             f"signals of length {signals.shape[1]} do not fit in {num_qubits} qubits"

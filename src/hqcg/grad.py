@@ -68,25 +68,9 @@ from .circuit import (
 # perfbench/run.py traces encode_rows and both kernels through this
 # module's namespace; the gradient itself calls none of them
 from .encoding import encode_rows, row_norms  # noqa: F401
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
-from .train import bce_prob_gradient, bce_rows
-
-
-def _check_batch(model: HQCGModel, signals, labels):
-    if not np.isfinite(model.theta).all():
-        raise NumericError("non-finite model parameters")
-    signals = np.asarray(signals, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[0] == 0:
-        raise ShapeError(f"expected a non-empty (batch, length) matrix, "
-                         f"got shape {signals.shape}")
-    if labels.shape != (signals.shape[0], model.num_classes):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match "
-            f"({signals.shape[0]}, {model.num_classes})"
-        )
-    return signals, labels
+from .train import bce_prob_gradient, bce_rows, check_batch, mean_loss
 
 
 def _forward_trace(model: HQCGModel, kets, unitaries):
@@ -170,13 +154,13 @@ def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
 
 def batch_loss(model: HQCGModel, signals, labels) -> float:
     """Mean BCE of the batch over the ``forward_batch`` scores."""
-    signals, labels = _check_batch(model, signals, labels)
-    return float(np.mean(bce_rows(forward_batch(model, signals), labels)))
+    signals, labels = check_batch(model, signals, labels)
+    return mean_loss(bce_rows(forward_batch(model, signals), labels))
 
 
 def loss_and_gradients(model: HQCGModel, signals, labels):
     """(mean batch BCE, exact gradient w.r.t. every model parameter)."""
-    signals, labels = _check_batch(model, signals, labels)
+    signals, labels = check_batch(model, signals, labels)
     # every gate matrix, class column and derivative in one closed-form call
     mats, dmats = rotations(model.theta.reshape(-1, 3))
     gates, unitaries, cols = fused_blocks(model, mats)
@@ -188,13 +172,7 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     beta, pulled = pull_back(model, states, unitaries)
     re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
     probs = re * re + im * im
-    losses = bce_rows(probs, labels)
-    bad = ~np.isfinite(losses)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NumericError(f"non-finite loss for batch row {idx}",
-                           sample_index=idx)
-    loss = float(losses.mean())
+    loss = mean_loss(bce_rows(probs, labels))
 
     coef = bce_prob_gradient(probs, labels)  # dL_s/dp_si, clamp-aware
     # r_i = sum_s c_si conj(a_si) x_s / norms[s], one product over the signals
@@ -224,7 +202,7 @@ def finite_diff_oracle(model: HQCGModel, signals, labels,
     """Central-difference gradient of batch_loss, one parameter at a time."""
     if not 1e-6 <= eps <= 1e-3:
         raise ConfigError(f"eps must lie in [1e-6, 1e-3], got {eps}")
-    signals, labels = _check_batch(model, signals, labels)
+    signals, labels = check_batch(model, signals, labels)
     base = model.theta.copy()
     work = base.copy()
     grads = np.empty_like(base)

@@ -22,6 +22,15 @@ NORM_ATOL = 1e-9
 UNITARY_ATOL = 1e-12
 
 
+def check_qubits(num_qubits: int) -> None:
+    """Refuse a register of fewer than one or more than MAX_QUBITS qubits,
+    before anything of its size is allocated."""
+    if num_qubits < 1:
+        raise CapacityError(f"need at least one qubit, got {num_qubits}")
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(f"qubit count {num_qubits} is above the {MAX_QUBITS}-qubit cap")
+
+
 def _as_unitary(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2, 2):
@@ -40,8 +49,7 @@ class Statevector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise CapacityError(f"need at least one qubit, got {self.num_qubits}")
+        check_qubits(self.num_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         want = 1 << self.num_qubits
@@ -200,10 +208,7 @@ def apply_swap_kernel(amps: np.ndarray, num_qubits: int, a: int, b: int,
 
 def zero_state(num_qubits: int) -> Statevector:
     """All-qubits-|0> state."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise CapacityError(
-            f"qubit count must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
+    check_qubits(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(num_qubits, amps)

@@ -1,13 +1,16 @@
 """Shared training machinery: BCE loss, cosine schedule, AdamW, metrics, loop.
 
 The loop is model-agnostic: any object with a flat float64 ``theta``
-vector works, paired with a ``loss_grad_fn(model, signals, labels)`` and a
-``predict_fn(model, signals)``. Everything is a deterministic function of
-(dataset, config, initial parameters); per-epoch shuffling comes from one
-seeded generator and batch reductions run in a fixed order, so reruns are
-bit-for-bit identical. Wall-clock time is reported on the TrainReport
-object but deliberately kept out of the serialized metrics files so file
-outputs stay byte-identical across reruns.
+vector and a ``num_classes`` works, paired with a
+``loss_grad_fn(model, signals, labels)`` and a ``predict_fn(model, signals)``.
+Both model families hold their batches to one contract, ``check_batch``,
+and reduce per-row losses with one ``mean_loss``. Everything is a
+deterministic function of (dataset, config, initial parameters);
+per-epoch shuffling comes from one seeded generator and batch reductions
+run in a fixed order, so reruns are bit-for-bit identical. Wall-clock
+time is reported on the TrainReport object but deliberately kept out of
+the serialized metrics files so file outputs stay byte-identical across
+reruns.
 """
 
 from __future__ import annotations
@@ -110,6 +113,35 @@ def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise ShapeError(f"probs shape {probs.shape} != labels shape {labels.shape}")
     p = clamp_probs(probs)
     return -np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p), axis=1)
+
+
+def check_batch(model, signals, labels=None):
+    """(signals, labels) as float64 arrays once they are a batch ``model``
+    can score: finite ``model.theta``, a non-empty (batch, length) signal
+    matrix and, where given, (batch, ``model.num_classes``) labels. Each
+    model checks its own signal width and values where it reads them."""
+    if not np.isfinite(model.theta).all():
+        raise NumericError("non-finite model parameters")
+    signals = np.asarray(signals, dtype=np.float64)
+    if signals.ndim != 2 or 0 in signals.shape:
+        raise ShapeError(f"expected a non-empty (batch, length) matrix, "
+                         f"got shape {signals.shape}")
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != (len(signals), model.num_classes):
+            raise ShapeError(f"labels shape {labels.shape} does not match "
+                             f"({len(signals)}, {model.num_classes})")
+    return signals, labels
+
+
+def mean_loss(losses: np.ndarray) -> float:
+    """The mean of per-row ``bce_rows`` losses; a non-finite row raises a
+    NumericError that names it."""
+    bad = ~np.isfinite(losses)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise NumericError(f"non-finite loss for batch row {idx}", sample_index=idx)
+    return float(losses.mean())
 
 
 def bce_prob_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Layer constructions, class states, forward pass, and fidelity readouts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,8 @@ from hqcg.circuit import apply_param_circuit, chain_gates, chain_unitaries, fuse
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -128,6 +135,39 @@ def test_build_model_above_qubit_cap_raises_before_building():
     # rejects it, before any layer or theta exists
     with pytest.raises(CapacityError, match=f"qubit count {MAX_QUBITS + 1} is above"):
         build_model(MAX_QUBITS + 1, 3, 2)
+
+
+# Run in a child whose address space is capped at 2 GiB: without the cap
+# check the class state's partial products grow towards 2^40 amplitudes,
+# and a layer over 10^9 qubits builds one tuple per group, until both end
+# in a MemoryError.
+_CAPPED_BUILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from hqcg import CapacityError, build_class_state, build_gqcg, build_lqcg, build_model
+count = int(sys.argv[2])
+build = {"class-state": lambda: build_class_state(count, np.zeros(3 * count)),
+         "lqcg": lambda: build_lqcg(count, 2),
+         "gqcg": lambda: build_gqcg(count, 2),
+         "model": lambda: build_model(count, 2, 2)}[sys.argv[1]]
+try:
+    build()
+except CapacityError as err:
+    print(err)
+"""
+
+
+@pytest.mark.parametrize("build,count", [("class-state", 40), ("lqcg", 10**9),
+                                         ("gqcg", 10**9), ("model", 10**9)])
+def test_above_qubit_cap_raises_before_allocating(build, count):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
+        OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_BUILD, build, str(count)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"qubit count {count} is above the 26-qubit cap" in proc.stdout
 
 
 def test_param_slots_are_contiguous():

@@ -349,6 +349,21 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["quantum", "classical"])
+def test_predict_non_finite_checkpoint_exits_3_without_scores(trained, tmp_path,
+                                                               capsys, kind):
+    """A NaN in theta is a numeric failure for either model kind: no score
+    row is printed."""
+    data_dir, docs = trained
+    doc = dict(docs[kind], theta=[float("nan")] + docs[kind]["theta"][1:])
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["predict", "--model-path", str(bad), "--data", str(data_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert "class" not in out, out
+    _error_line(err, "non-finite model parameters")
+
+
 def test_config_file_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"classes": 2, "samples": 10}))
@@ -552,13 +567,18 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", ["predict-40-qubits", "train-27-qubits"])
+@pytest.mark.parametrize("command", ["predict-40-qubits", "train-27-qubits",
+                                     "inspect-1e9-qubits"])
 def test_above_qubit_cap_exits_2_before_allocating(trained, tmp_path, command):
     data_dir, docs = trained
     if command == "train-27-qubits":
         argv = ["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
                 "--qubits", "27", "--group-size", "3", "--epochs", "1"]
         count = 27
+    elif command == "inspect-1e9-qubits":
+        # a valid layout of 5 * 10^8 groups: only the cap stops the layer build
+        count = 10**9
+        argv = ["inspect", "--qubits", str(count), "--group-size", "2"]
     else:
         # a well-formed 40-qubit checkpoint: 10 groups of 4, 3 classes
         theta = [0.0] * (3 * 40 + 3 * 10 + 3 * 40 * 3)

@@ -249,3 +249,58 @@ def test_train_config_validation():
 def test_train_config_rejects_non_finite(field, value):
     with pytest.raises(ConfigError, match=field):
         TrainConfig(**{field: value})
+
+
+# --- one batch contract for both model families --------------------------------
+
+# (model builder, signal width, forward, gradient); the quantum signals fill
+# the 2^6 amplitudes exactly, so one more value does not fit
+FAMILIES = {
+    "quantum": (lambda: hqcg.build_model(6, 3, 3, seed=1), 64,
+                hqcg.forward_batch, hqcg.loss_and_gradients),
+    "classical": (lambda: build_mlp(32, 8, 3, seed=1), 32,
+                  mlp_forward_batch, mlp_gradients),
+}
+BAD_BATCHES = ["empty-batch", "1-d-signals", "wrong-label-shape", "wrong-width",
+               "non-finite-theta"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ("forward", "gradient") for case in BAD_BATCHES
+    # a forward pass takes no labels
+    if (entry, case) != ("forward", "wrong-label-shape")])
+def test_bad_batch_is_an_hqcg_error_for_both_families(family, entry, case):
+    build, width, forward_fn, gradient_fn = FAMILIES[family]
+    model = build()
+    signals = np.random.default_rng(3).normal(size=(4, width))
+    labels = np.ones((4, 3))
+    if case == "empty-batch":
+        signals, labels = signals[:0], labels[:0]
+    elif case == "1-d-signals":
+        signals = signals[0]
+    elif case == "wrong-label-shape":
+        labels = labels[:, :2]
+    elif case == "wrong-width":
+        signals = np.ones((4, width + 1))
+    else:
+        model.theta = model.theta.copy()
+        model.theta[5] = np.nan
+    # non-finite parameters are a numeric failure (exit 3), the rest exit 2
+    error = hqcg.NumericError if case == "non-finite-theta" else hqcg.HqcgError
+    with pytest.raises(error):
+        if entry == "forward":
+            forward_fn(model, signals)
+        else:
+            gradient_fn(model, signals, labels)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_non_finite_loss_row_is_named_for_both_families(family):
+    build, width, _, gradient_fn = FAMILIES[family]
+    labels = np.ones((4, 3))
+    labels[2, 1] = np.nan
+    signals = np.random.default_rng(4).normal(size=(4, width))
+    with pytest.raises(hqcg.NumericError, match="non-finite loss for batch row 2") as err:
+        gradient_fn(build(), signals, labels)
+    assert err.value.sample_index == 2
