@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, check_seed
+from .errors import EncodingError, NumericError, ShapeError, check_seed
 from .train import PROB_FLOOR, bce_rows, check_batch, mean_loss
 
 
@@ -85,10 +85,14 @@ def build_mlp(input_len: int, hidden: int, num_classes: int,
 
 def _forward_pass(model: MLPModel, signals: np.ndarray) -> list[np.ndarray]:
     """The activations of every layer on a checked signal batch, the signals
-    first and the probabilities last."""
+    first and the probabilities last. A row of the wrong width, or one that
+    holds NaN or Inf, raises before the first product."""
     if signals.shape[1] != model.layer_widths[0]:
         raise ShapeError(f"expected (batch, {model.layer_widths[0]}) signals, "
                          f"got shape {signals.shape}")
+    bad = ~np.isfinite(signals).all(axis=1)
+    if bad.any():
+        raise EncodingError(f"signal row {int(np.argmax(bad))} contains NaN or Inf")
     *hidden, (w_out, b_out) = model.layers()
     acts = [signals]
     for w, b in hidden:
@@ -100,12 +104,6 @@ def mlp_forward_batch(model: MLPModel, signals) -> np.ndarray:
     """Class probabilities for a (batch, length) matrix."""
     signals, _ = check_batch(model, signals)
     return _forward_pass(model, signals)[-1]
-
-
-def mlp_forward(model: MLPModel, signal) -> np.ndarray:
-    """Class probabilities for one signal."""
-    values = np.asarray(signal, dtype=np.float64).ravel()
-    return mlp_forward_batch(model, values[None, :])[0]
 
 
 def mlp_gradients(model: MLPModel, signals, labels):

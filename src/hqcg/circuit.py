@@ -100,11 +100,6 @@ def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
                         half[:, None] * u], axis=-3)
 
 
-def rotation_matrix(a: float, b: float, c: float) -> np.ndarray:
-    """General single-qubit rotation Rz(c) @ Ry(b) @ Rz(a)."""
-    return rotation_matrices((a, b, c))
-
-
 @dataclass(frozen=True)
 class ParamGate:
     """One trainable controlled rotation owning three parameter slots."""
@@ -112,12 +107,6 @@ class ParamGate:
     control: int
     target: int
     param_slot: tuple[int, int, int]
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ShapeError("control and target must differ")
-        if len(set(self.param_slot)) != 3:
-            raise ConfigError(f"parameter slots must be distinct: {self.param_slot}")
 
 
 @dataclass(frozen=True)
@@ -310,17 +299,6 @@ def class_state_trace(cols: np.ndarray):
             products)
 
 
-def build_class_state(num_qubits: int, class_params) -> Statevector:
-    """Learnable per-class state: per-qubit rotations, then the CNOT ring."""
-    check_qubits(num_qubits)
-    angles = np.asarray(class_params, dtype=np.float64)
-    if angles.size != 3 * num_qubits:
-        raise ShapeError(f"class state on {num_qubits} qubits needs {3 * num_qubits} "
-                         f"angles, got an array of shape {angles.shape}")
-    cols = rotation_matrices(angles.reshape(1, num_qubits, 3))[..., 0]
-    return Statevector(num_qubits, class_state_trace(cols)[0][0])
-
-
 # --- model --------------------------------------------------------------------
 
 
@@ -356,15 +334,6 @@ class HQCGModel:
     def num_params(self) -> int:
         return self.class_params_offset + 3 * self.num_qubits * self.num_classes
 
-    def class_angle_block(self) -> np.ndarray:
-        """The class-state angles as a (num_classes, 3n) block, one row per class."""
-        return self.theta[self.class_params_offset :].reshape(self.num_classes, -1)
-
-    def class_angles(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.num_classes:
-            raise IndexError(f"class index {index} out of range")
-        return self.class_angle_block()[index]
-
     def param_counts(self) -> dict[str, int]:
         return {
             "lqcg": self.lqcg.num_params,
@@ -394,8 +363,7 @@ def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> n
     """All class states stacked as a (num_classes, 2^n) matrix, from their
     ``fused_blocks`` columns if the caller has them."""
     if cols is None:
-        cols = rotation_matrices(model.class_angle_block().reshape(
-            model.num_classes, model.num_qubits, 3))[..., 0]
+        cols = rotation_matrices(split_triples(model, model.theta.reshape(-1, 3))[2])[..., 0]
     return class_state_trace(cols)[0]
 
 

@@ -136,8 +136,8 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, list[str]]:
         samples = samples.samples
     if len(samples) == 0:
         raise EmptyDatasetError("no samples to stack")
-    signals = np.stack([s.values for s in samples]).astype(np.float64)
-    labels = np.stack([s.labels for s in samples]).astype(np.float64)
+    signals = np.array([s.values for s in samples], dtype=np.float64)
+    labels = np.array([s.labels for s in samples], dtype=np.float64)
     return signals, labels, [s.id for s in samples]
 
 

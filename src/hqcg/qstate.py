@@ -62,10 +62,6 @@ class Statevector:
         if abs(norm - 1.0) > NORM_ATOL:
             raise StateError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
 
 @dataclass(frozen=True, eq=False)
 class Single:

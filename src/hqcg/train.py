@@ -99,14 +99,6 @@ def clamp_probs(probs: np.ndarray) -> np.ndarray:
     return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def bce_loss(probs, labels) -> float:
-    """Mean binary cross-entropy over one probability/label vector."""
-    # one leading row, so bce_rows sees any shape mismatch as it is
-    p = np.atleast_1d(np.asarray(probs, dtype=np.float64))[None]
-    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))[None]
-    return float(np.mean(bce_rows(p, y)))
-
-
 def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample mean BCE for (batch, classes) matrices."""
     if probs.shape != labels.shape:
@@ -249,7 +241,7 @@ def evaluate(model, signals, labels, predict_fn) -> Metrics:
     probs = predict_fn(model, signals)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite probabilities during evaluation")
-    loss = float(np.mean(bce_rows(probs, labels)))
+    loss = mean_loss(bce_rows(probs, labels))
     return Metrics(loss, accuracy(probs, labels), macro_auc(probs, labels))
 
 

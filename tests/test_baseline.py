@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from hqcg import ShapeError, build_mlp, mlp_forward, mlp_gradients
-from hqcg.baseline import MLPModel, mlp_forward_batch, mlp_param_count
+from hqcg import ShapeError, build_mlp, mlp_forward_batch, mlp_gradients
+from hqcg.baseline import MLPModel, mlp_param_count
 from oracles import central_difference
 
 
 def test_zero_parameters_give_half_probabilities():
     model = MLPModel((4, 3, 3, 2), np.zeros(mlp_param_count((4, 3, 3, 2))))
-    np.testing.assert_allclose(mlp_forward(model, [1.0, -2.0, 0.5, 3.0]),
-                               [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(mlp_forward_batch(model, [[1.0, -2.0, 0.5, 3.0]]),
+                               [[0.5, 0.5]], atol=1e-15)
 
 
 def test_hand_computed_forward():
@@ -31,7 +31,7 @@ def test_hand_computed_forward():
     a2 = np.maximum([a1[0] + a1[1], a1[1]], 0)               # (1.5, 0)
     z3 = 2.0 * a2[0] - 1.0 * a2[1] + 0.25                    # 3.25
     expected = 1.0 / (1.0 + np.exp(-z3))
-    np.testing.assert_allclose(mlp_forward(model, [x]), [expected], atol=1e-15)
+    np.testing.assert_allclose(mlp_forward_batch(model, [[x]]), [[expected]], atol=1e-15)
 
 
 def test_outputs_in_open_unit_interval():

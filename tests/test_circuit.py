@@ -15,7 +15,6 @@ from hqcg import (
     HqcgError,
     ShapeError,
     Statevector,
-    build_class_state,
     build_gqcg,
     build_lqcg,
     build_model,
@@ -26,8 +25,8 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, chain_gates, chain_unitaries, fused_blocks, \
-    rotation_matrices, rotation_matrix, rotations
+from hqcg.circuit import apply_param_circuit, chain_gates, chain_unitaries, \
+    class_state_trace, fused_blocks, rotation_matrices, rotations, split_triples
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
@@ -66,8 +65,6 @@ def test_rotation_matrices_match_explicit_product(shape):
     assert mats.shape == shape[:-1] + (2, 2)
     want = np.array([_explicit_rotation(*row) for row in angles.reshape(-1, 3)])
     np.testing.assert_allclose(mats.reshape(-1, 2, 2), want, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(rotation_matrix(*angles.reshape(-1, 3)[0]), want[0],
-                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("shape", [(3,), (5, 3), (4, 6, 3)])
@@ -138,17 +135,14 @@ def test_build_model_above_qubit_cap_raises_before_building():
 
 
 # Run in a child whose address space is capped at 2 GiB: without the cap
-# check the class state's partial products grow towards 2^40 amplitudes,
-# and a layer over 10^9 qubits builds one tuple per group, until both end
+# check a layer over 10^9 qubits builds one tuple per group until it ends
 # in a MemoryError.
 _CAPPED_BUILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-import numpy as np
-from hqcg import CapacityError, build_class_state, build_gqcg, build_lqcg, build_model
+from hqcg import CapacityError, build_gqcg, build_lqcg, build_model
 count = int(sys.argv[2])
-build = {"class-state": lambda: build_class_state(count, np.zeros(3 * count)),
-         "lqcg": lambda: build_lqcg(count, 2),
+build = {"lqcg": lambda: build_lqcg(count, 2),
          "gqcg": lambda: build_gqcg(count, 2),
          "model": lambda: build_model(count, 2, 2)}[sys.argv[1]]
 try:
@@ -158,8 +152,8 @@ except CapacityError as err:
 """
 
 
-@pytest.mark.parametrize("build,count", [("class-state", 40), ("lqcg", 10**9),
-                                         ("gqcg", 10**9), ("model", 10**9)])
+@pytest.mark.parametrize("build,count", [("lqcg", 10**9), ("gqcg", 10**9),
+                                         ("model", 10**9)])
 def test_above_qubit_cap_raises_before_allocating(build, count):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
@@ -180,27 +174,25 @@ def test_param_slots_are_contiguous():
 # --- class states ----------------------------------------------------------------
 
 
+def _class_states(angles):
+    """The class states of a (C, n, 3) block of per-qubit angles, as rows."""
+    return class_state_trace(rotation_matrices(angles)[..., 0])[0]
+
+
 def test_class_state_zero_angles_is_ground_state():
-    out = build_class_state(2, np.zeros(6))
-    np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0], atol=1e-15)
+    out = _class_states(np.zeros((1, 2, 3)))
+    np.testing.assert_allclose(out, [[1, 0, 0, 0]], atol=1e-15)
 
 
 def test_class_state_single_qubit_flip():
-    out = build_class_state(1, [0.0, np.pi, 0.0])
-    np.testing.assert_allclose(np.abs(out.amplitudes), [0, 1], atol=1e-12)
+    out = _class_states([[[0.0, np.pi, 0.0]]])
+    np.testing.assert_allclose(np.abs(out), [[0, 1]], atol=1e-12)
 
 
 def test_class_state_norm():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        angles = rng.uniform(-np.pi, np.pi, 9)
-        out = build_class_state(3, angles)
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-
-def test_class_state_wrong_parameter_count():
-    with pytest.raises(ShapeError):
-        build_class_state(2, [0.0, 1.0])
+    out = _class_states(rng.uniform(-np.pi, np.pi, (10, 3, 3)))
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_class_state_matches_gate_by_gate_ansatz():
@@ -209,16 +201,15 @@ def test_class_state_matches_gate_by_gate_ansatz():
     rng = np.random.default_rng(1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for n in range(1, 7):
-        for _ in range(3):
-            angles = rng.uniform(-np.pi, np.pi, 3 * n)
+        angles = rng.uniform(-np.pi, np.pi, (3, n, 3))
+        out = _class_states(angles)
+        for c in range(3):
             ref = zero_state(n)
             for q in range(n):
-                ref = apply_gate(ref, Single(q, rotation_matrix(*angles[3 * q : 3 * q + 3])))
+                ref = apply_gate(ref, Single(q, _explicit_rotation(*angles[c, q])))
             for k in range(n if n > 1 else 0):
                 ref = apply_gate(ref, Controlled(k, (k + 1) % n, x))
-            out = build_class_state(n, angles)
-            np.testing.assert_allclose(out.amplitudes, ref.amplitudes,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[c], ref.amplitudes, rtol=0, atol=1e-12)
 
 
 # --- model and forward ------------------------------------------------------------
@@ -258,7 +249,7 @@ def test_forward_matches_dense_matrix_oracle():
     dense_gates = []
     for gate in model.lqcg.gates + model.gqcg.gates:
         i, j, k = gate.param_slot
-        u = rotation_matrix(model.theta[i], model.theta[j], model.theta[k])
+        u = _explicit_rotation(model.theta[i], model.theta[j], model.theta[k])
         dense_gates.append(Controlled(gate.control, gate.target, u))
     v_matrix = circuit_matrix(n, dense_gates)
 
@@ -267,10 +258,8 @@ def test_forward_matches_dense_matrix_oracle():
     psi = v_matrix @ padded
 
     expected = []
-    for c in range(classes):
-        angles = model.class_angles(c)
-        state_gates = [Single(q, rotation_matrix(*angles[3 * q : 3 * q + 3]))
-                       for q in range(n)]
+    for angles in split_triples(model, model.theta.reshape(-1, 3))[2]:
+        state_gates = [Single(q, _explicit_rotation(*angles[q])) for q in range(n)]
         ring = [Controlled(k, (k + 1) % n, np.array([[0, 1], [1, 0]], dtype=complex))
                 for k in range(n)]
         phi = circuit_matrix(n, state_gates + ring) @ zero_state(n).amplitudes

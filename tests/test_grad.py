@@ -21,7 +21,7 @@ from hqcg import (
     zero_state,
 )
 from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_gates, \
-    chain_unitaries, class_state_trace, rotation_matrices, rotation_matrix, rotations
+    chain_unitaries, class_state_trace, rotation_matrices, rotations
 from hqcg.grad import block_environments, chain_gradients, class_gradients
 from hqcg.qstate import Controlled, Single, apply_gate, inner_product
 from oracles import P1, circuit_matrix, gate_matrix, random_state_vector, site_matrix
@@ -44,7 +44,7 @@ def test_single_ry_closed_form():
     one = Statevector(1, [0, 1])
 
     def prob(t):
-        psi = apply_gate(zero_state(1), Single(0, rotation_matrix(0.0, t, 0.0)))
+        psi = apply_gate(zero_state(1), Single(0, rotation_matrices((0.0, t, 0.0))))
         return abs(inner_product(psi, one)) ** 2
 
     t = np.pi / 2
@@ -179,7 +179,7 @@ def _layers(n):
 
 def _gates(circuit, theta):
     """The layer's gates as qstate ``Controlled`` gates, in application order."""
-    return [Controlled(g.control, g.target, rotation_matrix(*theta[list(g.param_slot)]))
+    return [Controlled(g.control, g.target, rotation_matrices(theta[list(g.param_slot)]))
             for g in circuit.gates]
 
 

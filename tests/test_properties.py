@@ -18,7 +18,7 @@ from hqcg import (
     loss_and_gradients,
     zero_state,
 )
-from hqcg.circuit import rotation_matrix
+from hqcg.circuit import rotation_matrices, split_triples
 from hqcg.train import bce_rows
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -50,11 +50,10 @@ def _gate_by_gate_probs(model, signals):
     """Scores from one Statevector per sample and per class, gate by gate."""
     n, theta = model.num_qubits, model.theta
     phis = []
-    for c in range(model.num_classes):
-        angles = model.class_angles(c)
+    for angles in split_triples(model, theta.reshape(-1, 3))[2]:
         phi = zero_state(n)
         for q in range(n):
-            phi = apply_gate(phi, Single(q, rotation_matrix(*angles[3 * q : 3 * q + 3])))
+            phi = apply_gate(phi, Single(q, rotation_matrices(angles[q])))
         for k in range(n):
             phi = apply_gate(phi, Controlled(k, (k + 1) % n, X))
         phis.append(phi)
@@ -62,7 +61,7 @@ def _gate_by_gate_probs(model, signals):
     for s, signal in enumerate(signals):
         psi = amplitude_encode(signal, n)
         for gate in model.lqcg.gates + model.gqcg.gates:
-            u = rotation_matrix(*theta[list(gate.param_slot)])
+            u = rotation_matrices(theta[list(gate.param_slot)])
             psi = apply_gate(psi, Controlled(gate.control, gate.target, u))
         probs[s] = [abs(inner_product(phi, psi)) ** 2 for phi in phis]
     return probs

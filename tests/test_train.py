@@ -14,7 +14,6 @@ from hqcg import (
     UndefinedMetricError,
     accuracy,
     adamw_step,
-    bce_loss,
     build_mlp,
     cosine_lr,
     macro_auc,
@@ -25,26 +24,32 @@ from hqcg import (
 )
 from hqcg.baseline import mlp_param_count
 from hqcg.data import Sample
+from hqcg.train import bce_rows
 from oracles import pairwise_auc, reference_adamw
 
 
+def _bce(probs, labels):
+    """``bce_rows`` of one probability row against one label row."""
+    return bce_rows(np.array([probs], dtype=float), np.array([labels], dtype=float))[0]
+
+
 def test_bce_half_probabilities():
-    assert abs(bce_loss([0.5, 0.5], [1, 0]) - np.log(2)) < 1e-12
+    assert abs(_bce([0.5, 0.5], [1, 0]) - np.log(2)) < 1e-12
 
 
 def test_bce_exact_predictions_near_zero():
-    assert bce_loss([1.0, 0.0], [1, 0]) < 1e-6
+    assert _bce([1.0, 0.0], [1, 0]) < 1e-6
 
 
 def test_bce_hand_value():
     # -(log 0.9 + log 0.9) / 2
     expected = -np.log(0.9)
-    assert abs(bce_loss([0.9, 0.1], [1, 0]) - expected) < 1e-12
+    assert abs(_bce([0.9, 0.1], [1, 0]) - expected) < 1e-12
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(ShapeError):
-        bce_loss([0.5], [1, 0])
+        _bce([0.5], [1, 0])
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -262,7 +267,7 @@ FAMILIES = {
                   mlp_forward_batch, mlp_gradients),
 }
 BAD_BATCHES = ["empty-batch", "1-d-signals", "wrong-label-shape", "wrong-width",
-               "non-finite-theta"]
+               "non-finite-theta", "non-finite-signal-row"]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -283,12 +288,15 @@ def test_bad_batch_is_an_hqcg_error_for_both_families(family, entry, case):
         labels = labels[:, :2]
     elif case == "wrong-width":
         signals = np.ones((4, width + 1))
+    elif case == "non-finite-signal-row":
+        signals[2, 1] = np.nan
     else:
         model.theta = model.theta.copy()
         model.theta[5] = np.nan
     # non-finite parameters are a numeric failure (exit 3), the rest exit 2
-    error = hqcg.NumericError if case == "non-finite-theta" else hqcg.HqcgError
-    with pytest.raises(error):
+    error = {"non-finite-theta": hqcg.NumericError,
+             "non-finite-signal-row": hqcg.EncodingError}.get(case, hqcg.HqcgError)
+    with pytest.raises(error, match="signal row 2" if case == "non-finite-signal-row" else None):
         if entry == "forward":
             forward_fn(model, signals)
         else:
