@@ -12,7 +12,7 @@ from .encoding import amplitude_encode, encode_rows, required_qubits
 from .errors import CapacityError, ConfigError, DataFormatError, \
     EmptyDatasetError, EncodingError, HqcgError, NumericError, ShapeError, \
     StateError, UndefinedMetricError
-from .grad import batch_loss, finite_diff_oracle, loss_and_gradients
+from .grad import batch_loss, loss_and_gradients
 from .qstate import MAX_QUBITS, BasisProjector, Controlled, ControlledSwap, \
     GateOp, Single, Statevector, Swap, apply_gate, inner_product, \
     projector_probability, zero_state

@@ -14,8 +14,9 @@ when the control qubit is 1. Two layer constructions are built from it:
 Both layers are chain-with-skip blocks on disjoint qubits, so the circuit
 factors exactly as U = G (V_{n/g-1} (x) ... (x) V_0): one 2^g x 2^g unitary
 per LQCG block and one 2^(n/g) x 2^(n/g) unitary G on the representatives.
-Each layer is built as that stack of fused block unitaries
-(``chain_unitaries``) and applied one dense block product at a time
+Each layer is built as that stack of fused block unitaries, each the
+entrywise product of one table per gate (``chain_blocks``), and applied
+one dense block product at a time
 (``apply_param_circuit(amps, circuit, unitaries)``); no gate runs alone.
 
 Per-class learnable states are prepared by one layer of per-qubit
@@ -192,38 +193,60 @@ def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
 
 
 @lru_cache(maxsize=64)
-def chain_rows(width: int):
-    """The gates CU(j -> j+1 mod width) of a chain-with-skip over ``width``
-    local qubits as (width, 2^width) index arrays over the basis rows:
-    whether the control bit is set, the target bit, and the row with the
-    target bit flipped."""
-    rows = np.arange(1 << width)
-    control = np.arange(width)[:, None]
-    target = (control + 1) % width
-    return (rows >> control) & 1 == 1, (rows >> target) & 1, rows ^ (1 << target)
+def chain_axes(width: int):
+    """For every gate CU(j -> j+1 mod k) of a width-k chain-with-skip block,
+    the axis order that lays a (blocks, c, o, i, 1, ..., 1) table onto the
+    (blocks, x_{k-1}, ..., x_0, y_{k-1}, ..., y_0) bits of a block matrix
+    M[x, y]: the control bit c = x_j, or y_0 for gate 0, which runs before
+    gate k-1 sets bit 0, and the target bit t = j+1 mod k as o = x_t, i = y_t."""
+    perms = []
+    for j in range(width):
+        t = (j + 1) % width
+        cio = (2 * width if j == 0 else width - j, width - t, 2 * width - t)
+        back = (0, *cio, *(a for a in range(1, 2 * width + 1) if a not in cio))
+        perms.append(tuple(int(a) for a in np.argsort(back)))
+    return tuple(perms)
 
 
-def chain_gates(mats: np.ndarray, identity: float = 1.0):
-    """Every gate of chain-with-skip blocks as (diag, off), each (..., k, 2^k),
-    from (..., k, 2, 2) matrices: row x of gate j, P0 (x) I + P1 (x) U_j,
-    holds diag[j, x] in column x and off[j, x] in column x ^ (1 << target),
-    and nothing else. With ``identity=0`` derivative matrices give the
-    derivatives P1 (x) dU_j."""
-    on, bit, _ = chain_rows(mats.shape[-3])
-    gate = np.arange(len(bit))[:, None]
-    return (np.where(on, mats[..., gate, bit, bit], identity),
-            np.where(on, mats[..., gate, bit, 1 - bit], 0.0))
+@lru_cache(maxsize=64)
+def gate_picks(width: int):
+    """The bits of ``chain_axes`` as (k, 2, 2^k) and (k, 2^k, 2) 0/1
+    matrices: rows_j Z cols_j sums the entries of a (2^k, 2^k) array Z
+    with gate j's control bit set into a 2 x 2 array over its (o, i)."""
+    bits = (np.arange(1 << width) >> np.arange(width)[:, None]) & 1 == 1
+    rows = np.roll(bits, -1, axis=0)[..., None] == np.arange(2)
+    cols = rows.copy()
+    rows[1:] &= bits[1:, :, None]
+    cols[0] &= bits[0, :, None]
+    picks = (rows.swapaxes(1, 2).astype(np.complex128, order="C"),
+             cols.astype(np.complex128))
+    for pick in picks:
+        pick.setflags(write=False)
+    return picks
 
 
-def chain_unitaries(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The fused unitaries H_{k-1} ... H_0 of chain-with-skip blocks as a
-    (blocks, 2^k, 2^k) stack, from their ``chain_gates``. Each gate mixes
-    pairs of rows of the running product."""
-    flip = chain_rows(diag.shape[1])[2]
-    fused = np.eye(diag.shape[2], dtype=np.complex128)
-    for j in range(len(flip)):
-        fused = diag[:, j, :, None] * fused + off[:, j, :, None] * fused[..., flip[j], :]
-    return fused
+def chain_blocks(mats: np.ndarray):
+    """The fused unitaries V = H_{k-1} ... H_0 of chain-with-skip blocks as a
+    (blocks, 2^k, 2^k) stack, from their (blocks, k, 2, 2) gate matrices,
+    with the (k, blocks, 2^k, 2^k) stack of gate factors the gradient reads.
+
+    Every local bit is the target of exactly one gate, so V is the entrywise
+    product of factors F_j[x, y] = T_j[c, o, i] over the ``chain_axes`` of
+    gate j, with T_j[0] = I and T_j[1] = U_j: one broadcast per factor and
+    k-1 contiguous multiplies."""
+    blocks, k = mats.shape[:2]
+    tables = np.empty((blocks, k, 2, 2, 2), dtype=np.complex128)
+    tables[:, :, 0] = np.eye(2)
+    tables[:, :, 1] = mats
+    factors = np.empty((k, blocks) + (2,) * (2 * k), dtype=np.complex128)
+    for j, lay in enumerate(chain_axes(k)):
+        factors[j] = tables[:, j].reshape((blocks, 2, 2, 2) + (1,) * (2 * k - 3)).transpose(lay)
+    factors = factors.reshape(k, blocks, 1 << k, 1 << k)
+    fused = factors[1] * factors[0]
+    # H_j on the left, as the gates run: V rounds as their gate-order product
+    for factor in factors[2:]:
+        np.multiply(factor, fused, out=fused)
+    return fused, factors
 
 
 @lru_cache(maxsize=64)
@@ -245,7 +268,7 @@ def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
                         unitaries: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     """Run the layer, or with ``adjoint`` its inverse, over raw amplitudes
     (batched over leading axes), one block of ``unitaries``, the layer's
-    ``chain_unitaries`` stack, at a time.
+    ``chain_blocks`` unitary stack, at a time.
 
     In the first order of ``layer_axes`` the top block is one (2^k, 2^k)
     product on every row; the product leaves that block at the bottom, so
@@ -379,18 +402,18 @@ def split_triples(model: HQCGModel, rows: np.ndarray):
 
 
 def fused_blocks(model: HQCGModel, mats: np.ndarray):
-    """The (LQCG, GQCG) ``chain_gates``, their ``chain_unitaries`` stacks and
-    the (C, n, 2) class columns u_q|0> from ``mats``, the (..., 2, 2)
-    rotation matrices of every (a, b, c) triple of ``model.theta``."""
+    """The (LQCG, GQCG) ``chain_blocks``, their unitary stacks and the
+    (C, n, 2) class columns u_q|0> from ``mats``, the (..., 2, 2) rotation
+    matrices of every (a, b, c) triple of ``model.theta``."""
     *layers, classes = split_triples(model, mats)
-    gates = [chain_gates(m) for m in layers]
-    return gates, [chain_unitaries(*g) for g in gates], classes[..., 0]
+    chains = [chain_blocks(m) for m in layers]
+    return chains, [chain[0] for chain in chains], classes[..., 0]
 
 
 def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries):
     """(G^dagger Phi, U^dagger Phi): the (C, 2^n) class states swept back
     through GQCG, then through LQCG, with the conjugate transposes of the
-    (LQCG, GQCG) ``chain_unitaries`` stacks in ``unitaries``."""
+    (LQCG, GQCG) ``chain_blocks`` unitary stacks in ``unitaries``."""
     beta = apply_param_circuit(class_states, model.gqcg, unitaries[1], adjoint=True)
     return beta, apply_param_circuit(beta, model.lqcg, unitaries[0], adjoint=True)
 

@@ -25,11 +25,12 @@ An angle of block b of LQCG gives <beta| I (x) dV_b |r> =
     E[a, c] = sum conj(bra[block = a]) ket[block = c],
 
 summed over classes and over the qubits outside the block, as
-<bra| I (x) X |ket> = sum_ac X[a, c] E[a, c]. Inside the block, with
-H_j the j-th gate, F_0 = E^T and F_{j+1} = H_j F_j H_j^dagger, that sum
-is tr(dH_j F_j H_j^dagger) for an angle of gate j, where
-dH_j = P1 (x) dU_j. Only 2^k x 2^k matrices enter this sweep, and no
-derivative is ever applied to a state.
+<bra| I (x) X |ket> = sum_ac X[a, c] E[a, c]. Inside the block that sum
+is sum_xy W[x, y] dV[x, y], W = conj(V) E, and V is the entrywise product
+of one table per gate (``circuit.chain_blocks``), so an angle of gate j
+reads W times the other factors, summed to a 2 x 2 environment of its
+target bit (``block_gradients``). Only 2^k x 2^k arrays enter this sweep,
+and no derivative is ever applied to a state.
 
 Class-state angles take dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class
 state is a fixed basis permutation P of a product of single-qubit columns
@@ -53,12 +54,11 @@ from .circuit import (
     HQCGModel,
     ParamCircuit,
     apply_param_circuit,
-    chain_gates,
-    chain_rows,
     class_state_trace,
     conj_overlaps,
     forward_batch,
     fused_blocks,
+    gate_picks,
     layer_axes,
     pull_back,
     rotations,
@@ -68,14 +68,14 @@ from .circuit import (
 # perfbench/run.py traces encode_rows and both kernels through this
 # module's namespace; the gradient itself calls none of them
 from .encoding import encode_rows, row_norms  # noqa: F401
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
 from .train import bce_prob_gradient, bce_rows, check_batch, mean_loss
 
 
 def _forward_trace(model: HQCGModel, kets, unitaries):
     """The folded (C, 2^n) kets r pushed through LQCG, u = V r, and then
-    through GQCG, xi = G u, by the (LQCG, GQCG) ``chain_unitaries`` stacks
+    through GQCG, xi = G u, by the (LQCG, GQCG) unitary stacks
     in ``unitaries``, with the states the gradient keeps from this sweep."""
     u = apply_param_circuit(kets, model.lqcg, unitaries[0])
     xi = apply_param_circuit(u, model.gqcg, unitaries[1])
@@ -105,31 +105,31 @@ def block_environments(bra: np.ndarray, ket: np.ndarray,
     return np.stack(envs)
 
 
-def chain_gradients(envs: np.ndarray, gates, dgates) -> np.ndarray:
+def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:
     """Re tr(V_b^dagger dV_b E_b^T) by every angle of chain-with-skip blocks,
     as a (blocks, k, 3) array, from the block environments E_b, the blocks'
-    ``chain_gates`` and the ``chain_gates`` of their (blocks, 3, k, 2, 2)
-    derivative matrices.
+    ``chain_blocks`` and their (blocks, k, 3, 2, 2) derivative matrices.
 
-    With F_0 = E^T and F_{j+1} = H_j F_j H_j^dagger, an angle of gate j
-    gives tr(dH_j Y_j), Y_j = F_j H_j^dagger. dH_j = P1 (x) dU_j has entries
-    only on the diagonal and in the target-flipped column of each row, so
-    the trace reads Y_j[x, x] and Y_j[flip x, x]."""
-    (diag, off), (ddiag, doff) = gates, dgates
-    blocks, width, dim = diag.shape
-    rows = np.arange(dim)
-    flip = chain_rows(width)[2]
-    f = envs.swapaxes(-1, -2)
-    diag_h, off_h = diag.conj()[:, :, None, :], off.conj()[:, :, None, :]
-    y_diag = np.empty_like(diag)
-    y_flip = np.empty_like(diag)
-    for j in range(width):
-        y = f * diag_h[:, j] + f[..., flip[j]] * off_h[:, j]
-        y_diag[:, j] = y[:, rows, rows]
-        y_flip[:, j] = y[:, flip[j], rows]
-        f = diag[:, j, :, None] * y + off[:, j, :, None] * y[:, flip[j]]
-    return (np.einsum("bdjx,bjx->bjd", ddiag, y_diag)
-            + np.einsum("bdjx,bjx->bjd", doff, y_flip)).real
+    The trace is sum_xy W[x, y] dV[x, y] with W = conj(V) E. An angle of
+    gate j moves only factor j of V = F_0 * ... * F_{k-1}, and only where
+    its control bit is 1, so it gives sum_oi dU_j[o, i] M_j[o, i], where
+    M_j is W times the other k-1 factors, summed by the ``gate_picks`` of
+    gate j. A sweep down the gates folds F_{k-1}, ..., F_{j+1} into W, and
+    a sweep up multiplies in F_0 * ... * F_{j-1}."""
+    unitaries, factors = chain
+    k = len(factors)
+    rows, cols = gate_picks(k)
+    rest = np.empty_like(factors)
+    np.matmul(unitaries.conj(), envs, out=rest[-1])
+    for j in range(k - 1, 0, -1):
+        np.multiply(rest[j], factors[j], out=rest[j - 1])
+    prefix = factors[0]
+    for j in range(1, k):
+        rest[j] *= prefix
+        if j < k - 1:
+            prefix = prefix * factors[j]
+    gate_envs = rows[:, None] @ rest @ cols[:, None]
+    return np.einsum("jboi,bjdoi->bjd", gate_envs, dmats).real
 
 
 def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
@@ -163,9 +163,8 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     signals, labels = check_batch(model, signals, labels)
     # every gate matrix, class column and derivative in one closed-form call
     mats, dmats = rotations(model.theta.reshape(-1, 3))
-    gates, unitaries, cols = fused_blocks(model, mats)
+    chains, unitaries, cols = fused_blocks(model, mats)
     *layer_dmats, class_dmats = split_triples(model, dmats)
-    dgates = [chain_gates(d.swapaxes(1, 2), identity=0.0) for d in layer_dmats]
 
     norms = row_norms(signals, model.num_qubits)
     states, products = class_state_trace(cols)
@@ -184,10 +183,10 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
 
     grads = np.empty(model.theta.size)
     lqcg, gqcg, classes = split_triples(model, grads.reshape(-1, 3))
-    lqcg[...] = chain_gradients(block_environments(pulled, kets, model.lqcg),
-                                gates[0], dgates[0])
-    gqcg[...] = chain_gradients(block_environments(beta, u, model.gqcg),
-                                gates[1], dgates[1])
+    lqcg[...] = block_gradients(block_environments(pulled, kets, model.lqcg),
+                                chains[0], layer_dmats[0])
+    gqcg[...] = block_gradients(block_environments(beta, u, model.gqcg),
+                                chains[1], layer_dmats[1])
     # slot a of every class column, the Rz on |0>, stays 0
     classes[..., 0] = 0.0
     classes[..., 1:] = class_gradients(xi, cols, products, class_dmats[:, :, 1:, :, 0])
@@ -195,27 +194,3 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")
     return loss, grads
-
-
-def finite_diff_oracle(model: HQCGModel, signals, labels,
-                       eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of batch_loss, one parameter at a time."""
-    if not 1e-6 <= eps <= 1e-3:
-        raise ConfigError(f"eps must lie in [1e-6, 1e-3], got {eps}")
-    signals, labels = check_batch(model, signals, labels)
-    base = model.theta.copy()
-    work = base.copy()
-    grads = np.empty_like(base)
-    try:
-        for k in range(base.size):
-            work[k] = base[k] + eps
-            model.theta = work
-            up = batch_loss(model, signals, labels)
-            work[k] = base[k] - eps
-            model.theta = work
-            down = batch_loss(model, signals, labels)
-            work[k] = base[k]
-            grads[k] = (up - down) / (2.0 * eps)
-    finally:
-        model.theta = base
-    return grads

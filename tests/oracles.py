@@ -3,7 +3,9 @@
 Everything here is deliberately naive: dense Kronecker-product matrices,
 per-element Python loops, brute-force pair counting. These are the oracles
 the fast library code is checked against, so they must not share code with
-the package.
+the package. The one exception is ``finite_diff_oracle``: it differentiates
+the package's own ``batch_loss``, which is what the analytic gradient of
+``loss_and_gradients`` must match.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import math
 
 import numpy as np
 
+from hqcg import ConfigError, batch_loss
 from hqcg.qstate import Controlled, ControlledSwap, Single, Swap
+from hqcg.train import check_batch
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -121,6 +125,29 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
         down = x.copy()
         down[k] -= eps
         grads[k] = (fn(up) - fn(down)) / (2 * eps)
+    return grads
+
+
+def finite_diff_oracle(model, signals, labels, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of batch_loss, one parameter at a time."""
+    if not 1e-6 <= eps <= 1e-3:
+        raise ConfigError(f"eps must lie in [1e-6, 1e-3], got {eps}")
+    signals, labels = check_batch(model, signals, labels)
+    base = model.theta.copy()
+    work = base.copy()
+    grads = np.empty_like(base)
+    try:
+        for k in range(base.size):
+            work[k] = base[k] + eps
+            model.theta = work
+            up = batch_loss(model, signals, labels)
+            work[k] = base[k] - eps
+            model.theta = work
+            down = batch_loss(model, signals, labels)
+            work[k] = base[k]
+            grads[k] = (up - down) / (2.0 * eps)
+    finally:
+        model.theta = base
     return grads
 
 

@@ -25,11 +25,12 @@ from hqcg import (
 )
 from hqcg.circuit import apply_param_circuit, fused_blocks, rotation_matrices
 from hqcg.cli import main
-from hqcg.grad import finite_diff_oracle, loss_and_gradients
+from hqcg.grad import loss_and_gradients
 from hqcg.baseline import MLPModel, mlp_gradients, mlp_param_count
 from oracles import (
     central_difference,
     circuit_matrix,
+    finite_diff_oracle,
     linear_probe_class_aucs,
     random_gate,
     random_state_vector,

@@ -25,8 +25,8 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, chain_gates, chain_unitaries, \
-    class_state_trace, fused_blocks, rotation_matrices, rotations, split_triples
+from hqcg.circuit import apply_param_circuit, chain_blocks, class_state_trace, \
+    fused_blocks, rotation_matrices, rotations, split_triples
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, qubit_purity, random_state_vector
@@ -37,7 +37,7 @@ S2 = 1.0 / np.sqrt(2.0)
 
 
 def _stacks(model):
-    """The (LQCG, GQCG) ``chain_unitaries`` stacks of ``model.theta``."""
+    """The (LQCG, GQCG) ``chain_blocks`` unitary stacks of ``model.theta``."""
     return fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))[1]
 
 
@@ -297,7 +297,7 @@ def test_single_group_entangles_chain_qubits():
     plus = np.full(4, 0.5, dtype=complex)  # |+>|+>
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi, 6)
-        stack = chain_unitaries(*chain_gates(rotation_matrices(theta.reshape(1, 2, 3))))
+        stack = chain_blocks(rotation_matrices(theta.reshape(1, 2, 3)))[0]
         out = apply_param_circuit(plus[None, :], lqcg, stack)[0]
         purity = qubit_purity(out, 2, 0)
         assert purity < 1.0 - 1e-6

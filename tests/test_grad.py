@@ -15,16 +15,16 @@ from hqcg import (
     Statevector,
     batch_loss,
     build_model,
-    finite_diff_oracle,
     forward_batch,
     loss_and_gradients,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_gates, \
-    chain_unitaries, class_state_trace, rotation_matrices, rotations
-from hqcg.grad import block_environments, chain_gradients, class_gradients
+from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_blocks, \
+    class_state_trace, rotation_matrices, rotations
+from hqcg.grad import block_environments, block_gradients, class_gradients
 from hqcg.qstate import Controlled, Single, apply_gate, inner_product
-from oracles import P1, circuit_matrix, gate_matrix, random_state_vector, site_matrix
+from oracles import P1, circuit_matrix, finite_diff_oracle, gate_matrix, \
+    random_state_vector, site_matrix
 from hqcg.train import PROB_FLOOR
 
 
@@ -82,6 +82,16 @@ def test_gradients_match_oracle_across_widths():
             assert _contract_ok(analytic, fd)
             checked += 1
     assert checked >= 20
+
+
+def test_gradients_match_oracle_with_six_wide_blocks():
+    # n=12, g=6: two 6-wide LQCG blocks, the widest any finite-difference
+    # check reaches, at the criterion-4 tolerance
+    rng = np.random.default_rng(26)
+    model = build_model(12, 6, 2, seed=8)
+    signals, labels = _random_batch(rng, model, 3, 700)
+    _, analytic = loss_and_gradients(model, signals, labels)
+    assert _contract_ok(analytic, finite_diff_oracle(model, signals, labels, eps=1e-5))
 
 
 def test_gradient_descent_step_decreases_loss():
@@ -204,7 +214,7 @@ def test_fused_layers_match_dense_gate_product(n):
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
         gates = _gates(circuit, theta)
         angles = theta.reshape(len(circuit.blocks), circuit.width, 3)
-        blocks = chain_unitaries(*chain_gates(rotation_matrices(angles)))
+        blocks = chain_blocks(rotation_matrices(angles))[0]
         for block, fused in zip(circuit.blocks, blocks):
             local = {q: j for j, q in enumerate(block)}
             want = circuit_matrix(len(block), [Controlled(local[g.control], local[g.target],
@@ -236,16 +246,14 @@ def test_block_environment_derivatives_match_dense_derivative(n):
     for circuit in _layers(n):
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
         mats, dmats = rotations(theta.reshape(len(circuit.blocks), circuit.width, 3))
-        gates = chain_gates(mats)
-        blocks = chain_unitaries(*gates)
+        chain = chain_blocks(mats)
         bra = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         ket = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         got = []
         for phase in (1.0, 1j):
-            pulled = apply_param_circuit(phase * bra, circuit, blocks, adjoint=True)
+            pulled = apply_param_circuit(phase * bra, circuit, chain[0], adjoint=True)
             envs = block_environments(pulled, ket, circuit)
-            got.append(chain_gradients(envs, gates,
-                                       chain_gates(dmats.swapaxes(1, 2), identity=0.0)))
+            got.append(block_gradients(envs, chain, dmats))
         got = (got[0] + 1j * got[1]).reshape(-1, 3)
         for i, j in itertools.product(range(len(circuit.gates)), range(3)):
             amps = ket.T
@@ -253,6 +261,22 @@ def test_block_environment_derivatives_match_dense_derivative(n):
                 amps = op @ amps
             want = np.vdot(bra.T, amps)
             assert abs(got[i, j] - want) <= 1e-13 * abs(want), (circuit.blocks, i, j)
+
+
+def test_cached_tables_are_read_only():
+    # every lru_cache in the package hands the same result to every caller,
+    # so no array it returns may be writable
+    cached = {name: fn for module in (hqcg.circuit, hqcg.grad, hqcg.qstate)
+              for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+    assert set(cached) == {"chain_axes", "layer_axes", "_ring_permutation", "gate_picks"}
+    results = [cached["chain_axes"](3), cached["layer_axes"](build_gqcg(6, 2)),
+               cached["_ring_permutation"](3), cached["_ring_permutation"](3, True),
+               *cached["gate_picks"](3)]
+    arrays = [r for r in results if isinstance(r, np.ndarray)]
+    assert len(arrays) == 4
+    for table in arrays:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1
 
 
 def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):

@@ -12,7 +12,6 @@ from hqcg import (
     amplitude_encode,
     apply_gate,
     build_model,
-    finite_diff_oracle,
     forward_batch,
     inner_product,
     loss_and_gradients,
@@ -20,6 +19,7 @@ from hqcg import (
 )
 from hqcg.circuit import rotation_matrices, split_triples
 from hqcg.train import bce_rows
+from oracles import finite_diff_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
