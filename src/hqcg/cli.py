@@ -17,14 +17,15 @@ import reprlib
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import baseline, circuit, grad
 from .data import Dataset, SyntheticSpec, generate_synthetic, is_json_type, \
-    load_dataset, read_json_object, save_dataset, split, stack_samples, write_atomic, \
-    write_json
+    load_dataset, read_json_object, save_dataset, split, stack_samples, write_json, \
+    write_lines
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
@@ -260,12 +261,9 @@ def cmd_predict(args) -> int:
         scores = "  ".join(f"class{c}={row[c]:.4f}" for c in order)
         print(f"{sid}  {scores}")
     if args.csv:
-        header = "id," + ",".join(f"p{c}" for c in range(dataset.num_classes))
-        lines = [header] + [
-            sid + "," + ",".join(f"{v:.17g}" for v in row)
-            for sid, row in zip(ids, probs)
-        ]
-        write_atomic(args.csv, lambda fh: fh.write("\n".join(lines) + "\n"))
+        write_lines(args.csv, chain(
+            ["id," + ",".join(f"p{c}" for c in range(dataset.num_classes))],
+            (sid + "," + ",".join(f"{v:.17g}" for v in row) for sid, row in zip(ids, probs))))
         print(f"wrote {args.csv}", file=sys.stderr)
     return EXIT_OK
 

@@ -15,7 +15,8 @@ Gaussian noise. Per-sample random streams are keyed by (master seed,
 sample index), so generation order does not matter.
 
 Every file the package writes goes through ``write_atomic``, so a failed
-write never leaves a partial file.
+write never leaves a partial file. CSV rows are streamed: written, and the
+dataset CSV read, one row of text at a time.
 """
 
 from __future__ import annotations
@@ -168,6 +169,11 @@ def write_json(path, doc) -> None:
     write_atomic(path, dump)
 
 
+def write_lines(path, lines) -> None:
+    """Each string ``lines`` yields plus a newline, one by one; whole or not at all."""
+    write_atomic(path, lambda fh: fh.writelines(line + "\n" for line in lines))
+
+
 # A comma ends a CSV field; str.splitlines, which load_dataset reads rows
 # with, ends a row at any of the others.
 _ID_BREAKS = ",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -207,13 +213,14 @@ def save_dataset(dataset: Dataset, out_dir, spec: SyntheticSpec | None = None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / CSV_NAME
-    header = "id,labels," + ",".join(f"v{i}" for i in range(dataset.signal_len))
-    row = "%s,%s," + ",".join(["%.17g"] * dataset.signal_len)
-    lines = [header]
-    for s in dataset.samples:
-        labels = ";".join(str(c) for c in s.active_classes())
-        lines.append(row % (s.id, labels, *np.asarray(s.values).tolist()))
-    write_atomic(csv_path, lambda fh: fh.write("\n".join(lines) + "\n"))
+
+    def lines():
+        yield "id,labels," + ",".join(f"v{i}" for i in range(dataset.signal_len))
+        row = "%s,%s," + ",".join(["%.17g"] * dataset.signal_len)
+        for s in dataset.samples:
+            labels = ";".join(str(c) for c in s.active_classes())
+            yield row % (s.id, labels, *np.asarray(s.values).tolist())
+    write_lines(csv_path, lines())
     manifest = {
         "num_classes": dataset.num_classes,
         "signal_len": dataset.signal_len,
@@ -232,9 +239,11 @@ def is_json_type(value, kind: type) -> bool:
         value, (int, float) if kind is float else kind)
 
 
-def _read_utf8(path, what: str) -> str:
+def _read_utf8(path, what: str):
+    """The lines of the UTF-8 file ``path``, one at a time, newlines universal."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
     except (OSError, UnicodeDecodeError) as err:
         raise DataFormatError(f"cannot read {what} {path}: {err}") from None
 
@@ -244,7 +253,7 @@ def read_json_object(path, what: str) -> dict:
     read, decoded or parsed, or that holds another JSON value, raises
     ``DataFormatError`` naming ``what`` and the file."""
     try:
-        doc = json.loads(_read_utf8(path, what))
+        doc = json.loads("".join(_read_utf8(path, what)))
     except json.JSONDecodeError as err:
         raise DataFormatError(f"cannot parse {what} {path}: {err}") from None
     if not isinstance(doc, dict):
@@ -288,10 +297,12 @@ def load_dataset(path) -> Dataset:
                 f"int, got {num_classes!r}"
             )
 
-    lines = _read_utf8(p, "dataset").splitlines()
-    if not lines:
+    # text.splitlines() row by row: its breaks include every physical line end
+    lines = (row for phys in _read_utf8(p, "dataset") for row in phys.splitlines())
+    header = next(lines, None)
+    if header is None:
         raise EmptyDatasetError(f"empty dataset file: {p}")
-    header = lines[0].split(",")
+    header = header.split(",")
     if len(header) < 3 or header[0] != "id" or header[1] != "labels":
         raise DataFormatError(f"line 1: header must start with 'id,labels,v0,...'")
     signal_len = len(header) - 2
@@ -299,7 +310,7 @@ def load_dataset(path) -> Dataset:
         raise DataFormatError("line 1: value columns must be named v0..v{l-1}")
 
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split(",")
         if len(parts) != 2 + signal_len:
             raise DataFormatError(

@@ -96,13 +96,13 @@ def block_environments(bra: np.ndarray, ket: np.ndarray,
 
     bra = np.conjugate(layer_order(bra), order="C")
     ket = np.ascontiguousarray(layer_order(ket))
-    envs = []
-    for b in range(len(circuit.blocks)):
+    envs = np.empty((len(circuit.blocks), 1 << k, 1 << k), complex)
+    for b, env in enumerate(envs):
         # below block b: blocks b-1, ..., 0 and the outer qubits
-        shape = (-1, 1 << k, (1 << n) >> (k * (len(circuit.blocks) - b)))
-        envs.append(np.tensordot(bra.reshape(shape), ket.reshape(shape),
-                                 axes=([0, 2], [0, 2])))
-    return np.stack(envs)
+        shape = (-1, 1 << k, (1 << n) >> (k * (len(envs) - b)))
+        np.matmul(np.moveaxis(bra.reshape(shape), 1, 0).reshape(1 << k, -1),
+                  ket.reshape(shape).transpose(0, 2, 1).reshape(-1, 1 << k), out=env)
+    return envs
 
 
 def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import stack_samples, write_atomic, write_json
+from .data import stack_samples, write_json, write_lines
 from .errors import ConfigError, NumericError, ShapeError, UndefinedMetricError, \
     check_seed
 
@@ -313,10 +313,11 @@ def write_metrics_json(report: TrainReport, path, config: dict | None = None) ->
 
 def write_curves_csv(report: TrainReport, path) -> None:
     """One row per epoch per split: epoch,split,loss,accuracy,auc,lr."""
-    lines = ["epoch,split,loss,accuracy,auc,lr"]
-    for r in report.records:
-        lines.append(f"{r.epoch},train,{r.train_loss:.17g},"
-                     f"{r.train_accuracy:.17g},{r.train_auc:.17g},{r.lr:.17g}")
-        lines.append(f"{r.epoch},val,{r.val_loss:.17g},"
-                     f"{r.val_accuracy:.17g},{r.val_auc:.17g},{r.lr:.17g}")
-    write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    def lines():
+        yield "epoch,split,loss,accuracy,auc,lr"
+        for r in report.records:
+            yield (f"{r.epoch},train,{r.train_loss:.17g},"
+                   f"{r.train_accuracy:.17g},{r.train_auc:.17g},{r.lr:.17g}")
+            yield (f"{r.epoch},val,{r.val_loss:.17g},"
+                   f"{r.val_accuracy:.17g},{r.val_auc:.17g},{r.lr:.17g}")
+    write_lines(path, lines())

@@ -11,6 +11,7 @@ the package's own ``batch_loss``, which is what the analytic gradient of
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -126,6 +127,23 @@ def central_difference(fn, x: np.ndarray, eps: float) -> np.ndarray:
         down[k] -= eps
         grads[k] = (fn(up) - fn(down)) / (2 * eps)
     return grads
+
+
+def peak_traced_bytes(fn) -> int:
+    """The transient memory of ``fn()``: the most bytes tracemalloc saw held
+    at once while it ran, less those still held when it returned (its result
+    among them)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = fn()  # held while counting, so it counts as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - kept
 
 
 def finite_diff_oracle(model, signals, labels, eps: float = 1e-5) -> np.ndarray:

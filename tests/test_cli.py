@@ -1,5 +1,6 @@
 """CLI commands: file outputs, exit codes, determinism, error surfaces."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 import hqcg.circuit
 import hqcg.grad
 from hqcg import ConfigError, ShapeError
+from hqcg.baseline import mlp_param_count
 from hqcg.cli import load_model, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -228,6 +230,17 @@ def test_file_not_utf8_exits_2(trained, tmp_path, capsys, target):
     assert str(bad) in err and "Traceback" not in err
 
 
+def test_non_utf8_byte_in_a_later_row_exits_2(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    csv = data_dir / "dataset.csv"
+    csv.write_bytes(b"id,labels,v0\na,0,1\nb,1,2\n\xff,0,3\n")
+    code, _ = _train(tmp_path, data_dir)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read dataset {csv}" in err and "Traceback" not in err
+
+
 def test_train_mistyped_manifest_exits_2(tmp_path, capsys):
     data_dir = _synth(tmp_path)
     (data_dir / "manifest.json").write_text(json.dumps({"num_classes": "3"}))
@@ -298,6 +311,23 @@ def test_predict_csv_output(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "id,p0,p1,p2"
     assert len(lines) == 61
+
+
+def test_predict_csv_bytes_match_golden_digest(tmp_path):
+    """Zero weights score exactly 0.5, so the digest pins the file format, not
+    the arithmetic."""
+    data_dir = _synth(tmp_path)
+    widths = [32, 4, 4, 3]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "classical", "layer_widths": widths, "num_classes": 3,
+        "signal_len": 32, "theta": [0.0] * mlp_param_count(widths)}))
+    csv_path = tmp_path / "scores.csv"
+    assert main(["predict", "--model-path", str(model), "--data", str(data_dir),
+                 "--csv", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines()[1] == "s00000,0.5,0.5,0.5"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        "49c20942998bc038c67e0b91c1427c6d618e37474b9bb253a5f4d37ee2b5461b"
 
 
 def test_predict_empty_dataset_warns_and_exits_0(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Synthetic generation, CSV round trips, schema errors, and splitting."""
 
+import hashlib
 import json
 import re
 
@@ -23,7 +24,20 @@ from hqcg import (
 )
 from hqcg.cli import save_model
 from hqcg.data import class_templates, write_atomic
-from oracles import linear_probe_class_aucs
+from hqcg.train import EpochRecord, write_curves_csv
+from oracles import linear_probe_class_aucs, peak_traced_bytes
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the saved files: a change to how rows are written must keep
+# these bytes
+GOLDEN_SPEC_CSV = "555469af30b4eccd6cb1d18ac22d95bd6ae9a708a3cb2f1afb2c5d2cf3edee73"
+GOLDEN_SPEC_MANIFEST = "b1dc84f790259178dda31d6285a5d621d55a22801208a83a26cc919d247ae3b3"
+GOLDEN_MID_PREDICT_CSV = "bc0925a3d5c6f0f3b089346cf730e07e5ac1e453d2805a14f3c63879af6a474a"
+GOLDEN_CURVES_CSV = "f2195634db33ddba9acc7af7fddb27f0ba792876fc579ca5a8a7242d40f66c55"
 
 
 def _spec(**overrides):
@@ -105,6 +119,23 @@ def test_save_is_byte_deterministic(tmp_path):
         (tmp_path / "b/manifest.json").read_bytes()
 
 
+def test_saved_bytes_match_golden_digests(tmp_path):
+    save_dataset(generate_synthetic(_spec()), tmp_path, _spec())
+    assert _sha256(tmp_path / "dataset.csv") == GOLDEN_SPEC_CSV
+    assert _sha256(tmp_path / "manifest.json") == GOLDEN_SPEC_MANIFEST
+
+
+def test_curves_csv_bytes_match_golden_digest(tmp_path):
+    report = TrainReport([
+        EpochRecord(1, 0.6931471805599453, 0.5, 0.75, 0.7, 0.25, 1.0, 0.01),
+        EpochRecord(2, 0.1, 1 / 3, 2 / 3, 5e-324, 0.0, 0.5, 1e-300),
+    ])
+    write_curves_csv(report, tmp_path / "curves.csv")
+    assert (tmp_path / "curves.csv").read_text().splitlines()[2] == \
+        "1,val,0.69999999999999996,0.25,1,0.01"
+    assert _sha256(tmp_path / "curves.csv") == GOLDEN_CURVES_CSV
+
+
 def test_value_fields_are_17_significant_digits(tmp_path):
     row = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, -1.5,
                     1e300, 123456789012345678.0])
@@ -127,6 +158,7 @@ def test_mid_predict_geometry_round_trips_exactly(tmp_path):
     spec = SyntheticSpec(num_classes=4, signal_len=4096, num_samples=160, seed=1)
     ds = generate_synthetic(spec)
     save_dataset(ds, tmp_path, spec)
+    assert _sha256(tmp_path / "dataset.csv") == GOLDEN_MID_PREDICT_CSV
     back = load_dataset(tmp_path)
     assert [s.id for s in back.samples] == [s.id for s in ds.samples]
     np.testing.assert_array_equal(np.stack([s.values for s in back.samples]),
@@ -247,6 +279,110 @@ def test_header_only_rejected(tmp_path):
     path.write_text("id,labels,v0\n")
     with pytest.raises(EmptyDatasetError):
         load_dataset(path)
+
+
+# every line break str.splitlines knows; "\r\n" is one break
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("final", ["", "final-break"])
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_rows_end_at_every_splitlines_break(tmp_path, brk, final):
+    path = tmp_path / "dataset.csv"
+    text = brk.join(["id,labels,v0,v1", "a,0,0.5,1", "b,1,2,-3"])
+    path.write_bytes((text + (brk if final else "")).encode())
+    ds = load_dataset(path)
+    assert [s.id for s in ds.samples] == ["a", "b"]
+    assert [s.values.tolist() for s in ds.samples] == [[0.5, 1.0], [2.0, -3.0]]
+
+
+def test_mixed_breaks_give_the_rows_of_splitlines(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes("id,labels,v0\r\na,0,1\rb,0,2\x85c,0,3\u2028d,0,4\u2029e,0,5"
+                     "\x1cf,0,6\x1dg,0,7\x1eh,0,8\vi,0,9\fj,0,10\r\n".encode())
+    ds = load_dataset(path)
+    assert [s.id for s in ds.samples] == list("abcdefghij")
+    assert [s.values.tolist() for s in ds.samples] == [[v] for v in range(1, 11)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,labels,v0\n\na,0,1\n", "line 2: expected 3 fields, got 1"),
+    ("id,labels,v0\r\n\r\na,0,1", "line 2: expected 3 fields, got 1"),
+    ("id,labels,v0\n\ra,0,1", "line 2: expected 3 fields, got 1"),
+    ("id,labels,v0\na,0,1\r\rb,0,2", "line 3: expected 3 fields, got 1"),
+    ("id,labels,v0\na,0,1\x85\x85b,0,2", "line 3: expected 3 fields, got 1"),
+    ("id,labels,v0\na,0,1\u2028\nb,0,2", "line 3: expected 3 fields, got 1"),
+    ("id,labels,v0\na,0,1\vb,0,2\f\fc,0,3", "line 4: expected 3 fields, got 1"),
+    ("id,labels,v0\x85a,0,oops", "line 2: non-numeric signal value"),
+    ("id,labels,v0\u2029a,0,1\x1db,9x,1\n", "line 3: bad label index '9x'"),
+    ("id,labels,v0\fa,0,1\x1e\x1ec,0,1", "line 3: expected 3 fields, got 1"),
+], ids=["blank-lf", "blank-crlf", "lf-then-cr", "cr-cr", "nel-nel", "ls-lf",
+        "ff-ff", "nel-bad-value", "ps-gs-bad-label", "rs-rs"])
+def test_error_line_numbers_count_splitlines_rows(tmp_path, text, message):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        load_dataset(path)
+
+
+# TextIOWrapper decodes 8 KiB at a time, so a break can straddle two reads
+@pytest.mark.parametrize("brk", ["\r\n", "\u2028"], ids=ascii)
+def test_break_across_a_read_boundary(tmp_path, brk):
+    header = "id,labels,v0\n"
+    long_id = "x" * (8191 - len(header) - len(",0,1"))
+    assert len(header + long_id + ",0,1") == 8191
+    path = tmp_path / "dataset.csv"
+    path.write_bytes((header + long_id + ",0,1" + brk + "b,0,2\n").encode())
+    assert [s.id for s in load_dataset(path).samples] == [long_id, "b"]
+
+
+def test_non_utf8_byte_in_a_later_row_is_a_format_error(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_bytes(b"id,labels,v0\na,0,1\nb,0,2\n\xff,0,3\n")
+    with pytest.raises(DataFormatError, match=f"cannot read dataset {re.escape(str(path))}"):
+        load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def wide_dataset():
+    """200 samples of 1024 values, about 20 KiB of CSV text a row."""
+    spec = SyntheticSpec(num_classes=4, signal_len=1024, num_samples=200, seed=11)
+    return spec, generate_synthetic(spec)
+
+
+def _row_bytes(csv_path, dataset) -> float:
+    return csv_path.stat().st_size / (len(dataset) + 1)
+
+
+def test_save_holds_a_few_rows_of_text(tmp_path, wide_dataset):
+    spec, ds = wide_dataset
+    peak = peak_traced_bytes(lambda: save_dataset(ds, tmp_path, spec))
+    assert peak < 32 * _row_bytes(tmp_path / "dataset.csv", ds)
+
+
+def test_load_holds_a_few_rows_of_text_beyond_its_result(tmp_path, wide_dataset):
+    spec, ds = wide_dataset
+    save_dataset(ds, tmp_path, spec)
+    peak = peak_traced_bytes(lambda: load_dataset(tmp_path))
+    assert peak < 32 * _row_bytes(tmp_path / "dataset.csv", ds)
+
+
+class _UnformattableSample(Sample):
+    def active_classes(self):
+        raise RuntimeError("row formatting failed")
+
+
+def test_failed_row_keeps_earlier_csv_and_leaves_no_temp(tmp_path, wide_dataset):
+    spec, ds = wide_dataset
+    save_dataset(ds, tmp_path, spec)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    bad = ds.samples[150]
+    samples = ds.samples[:150] + [_UnformattableSample(bad.id, bad.values, bad.labels)]
+    # 150 rows, about 3 MiB, reach the temporary file before the failing row
+    with pytest.raises(RuntimeError, match="row formatting failed"):
+        save_dataset(Dataset(samples, ds.num_classes, ds.signal_len), tmp_path, spec)
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_label_out_of_range_with_manifest(tmp_path):
