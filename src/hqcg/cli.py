@@ -29,7 +29,6 @@ from .data import Dataset, SyntheticSpec, generate_synthetic, is_json_type, \
 from .encoding import required_qubits
 from .errors import ConfigError, DataFormatError, EmptyDatasetError, HqcgError, \
     NumericError
-from .parallel import thread_count
 from .train import TrainConfig, evaluate, train_loop, write_curves_csv, \
     write_metrics_json
 
@@ -269,8 +268,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    model = circuit.build_model(args.qubits, args.group_size, args.classes,
-                                seed=0)
+    model = circuit.build_model(args.qubits, args.group_size, args.classes)
     print(circuit.format_circuit(model))
     return EXIT_OK
 
@@ -313,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None,
                        help="JSON file whose entries override flags")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--len", type=int, default=256)
     p.add_argument("--samples", type=int, default=2000)
@@ -330,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     def training_flags(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--data", required=True)
         p.add_argument("--qubits", type=int, default=None)
         p.add_argument("--group-size", type=int, default=4)
@@ -420,7 +419,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        thread_count()  # a malformed HQCG_THREADS fails before any work
         _apply_config_file(args, parser)
         return args.func(args)
     except BrokenPipeError:

@@ -3,8 +3,8 @@
 Rows are split into chunks of at most CHUNK_BYTES (8 MiB) each, and
 results are reassembled in submission order, so the output is bitwise
 independent of the worker count. A batch that fits one chunk runs on the
-calling thread; only two or more chunks start a pool. The HQCG_THREADS
-environment variable caps the pool size (0 or unset = auto).
+calling thread; only two or more chunks start a pool, of up to four of
+the CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -14,36 +14,27 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 CHUNK_BYTES = 1 << 23
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker count from an explicit value or HQCG_THREADS."""
-    if explicit is None:
-        raw = os.environ.get("HQCG_THREADS", "0")
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"HQCG_THREADS must be a non-negative integer, got {raw!r}"
-            ) from None
-    if explicit < 0:
-        raise ConfigError(f"thread count must be >= 0, got {explicit}")
-    if explicit == 0:
-        return min(4, os.cpu_count() or 1)
-    return explicit
+def thread_count() -> int:
+    """Pool size: up to four of the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)  # no affinity call on this platform
 
 
 def map_rows(fn, rows: np.ndarray, threads: int | None = None) -> np.ndarray:
     """Apply ``fn`` to slices of ``rows`` of at most CHUNK_BYTES each (at
-    least one row); concat in order."""
+    least one row) on ``threads`` workers (None: thread_count()); concat
+    in order."""
     if len(rows) == 0:
         raise ShapeError("cannot map over an empty batch")
     step = max(1, CHUNK_BYTES // rows[0].nbytes)
     chunks = [rows[i : i + step] for i in range(0, len(rows), step)]
-    workers = thread_count(threads)
+    workers = thread_count() if threads is None else threads
     if workers <= 1 or len(chunks) <= 1:
         parts = [fn(c) for c in chunks]
     else:

@@ -59,7 +59,7 @@ class Statevector:
                 f"got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise StateError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
 
 

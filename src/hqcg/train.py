@@ -180,12 +180,18 @@ def adamw_step(theta: np.ndarray, grads: np.ndarray, moment1: np.ndarray,
 # --- metrics --------------------------------------------------------------------
 
 
+def _check_finite(scores: np.ndarray) -> None:
+    if not np.isfinite(scores).all():
+        raise NumericError("cannot score non-finite probabilities")
+
+
 def accuracy(probs, labels, threshold: float = 0.5) -> float:
     """Fraction of (sample, class) cells where (p >= threshold) equals the label."""
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.shape != y.shape:
         raise ShapeError(f"probs shape {p.shape} != labels shape {y.shape}")
+    _check_finite(p)
     return float(np.mean((p >= threshold) == (y != 0)))
 
 
@@ -195,6 +201,7 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels).ravel() != 0
     if s.shape != y.shape:
         raise ShapeError(f"scores shape {s.shape} != labels shape {y.shape}")
+    _check_finite(s)
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -213,7 +220,8 @@ def macro_auc(probs, labels) -> float:
     """Per-class AUC averaged over classes; degenerate classes are skipped.
 
     If every class is degenerate (all-positive or all-negative labels) the
-    neutral value 0.5 is returned so training diagnostics stay finite.
+    neutral value 0.5 is returned so training diagnostics stay finite. A
+    non-finite score raises roc_auc's NumericError, degenerate class or not.
     """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)

@@ -479,26 +479,6 @@ def test_predict_bad_top_exits_2_before_scoring(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("command", ["train", "compare"])
-def test_malformed_threads_exits_2_before_training(tmp_path, capsys, monkeypatch,
-                                                   command):
-    data_dir = _synth(tmp_path)
-    calls = []
-    step = hqcg.grad.loss_and_gradients
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(hqcg.grad, "loss_and_gradients", counting)
-    monkeypatch.setenv("HQCG_THREADS", "lots")
-    code = main([command, "--data", str(data_dir), "--out", str(tmp_path / "r")]
-                + SMALL_TRAIN)
-    assert code == 2
-    assert "HQCG_THREADS" in capsys.readouterr().err
-    assert calls == []
-
-
 def _config_run(tmp_path, argv, overrides):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
@@ -563,6 +543,31 @@ def test_negative_seed_exits_2_naming_the_seed(trained, tmp_path, capsys, comman
     _error_line(capsys.readouterr().err, "seed must be >= 0, got -1")
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command", ["eval", "predict", "inspect"])
+def test_seed_exits_2_where_nothing_is_drawn(trained, tmp_path, capsys, command, how):
+    """eval splits with the checkpoint's seed, predict and inspect draw nothing."""
+    data_dir, docs = trained
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(docs["quantum"]))
+    argv = {
+        "eval": ["eval", "--model-path", str(model), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")],
+        "predict": ["predict", "--model-path", str(model), "--data", str(data_dir)],
+        "inspect": ["inspect", "--qubits", "8", "--group-size", "4"],
+    }[command]
+    if how == "flag":
+        assert main(argv + ["--seed", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert "unrecognized arguments: --seed 0" in err
+    else:
+        assert _config_run(tmp_path, argv, {"seed": 0}) == 2
+        out, err = capsys.readouterr()
+        _error_line(err, "config file sets unknown option 'seed'")
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("hidden", ["0", "-1"])
 def test_non_positive_hidden_exits_2_before_training(trained, tmp_path, capsys,
@@ -619,8 +624,20 @@ def test_above_qubit_cap_exits_2_before_allocating(trained, tmp_path, command):
         count = 40
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)),
-        OPENBLAS_NUM_THREADS="1", HQCG_THREADS="1")
+        OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     _error_line(proc.stderr, f"qubit count {count} is above the 26-qubit cap")
+
+
+@pytest.mark.skipif(shutil.which("hqcg") is None,
+                    reason="console script not installed")
+def test_console_script_runs():
+    proc = subprocess.run(
+        ["hqcg", "inspect", "--qubits", "8", "--group-size", "4",
+         "--classes", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "LQCG: 8 gates, 24 params" in proc.stdout

@@ -1,15 +1,19 @@
-"""Chunk-parallel evaluation: thread resolution, byte-budget chunks and
-bitwise invariance."""
+"""Chunk-parallel evaluation: pool size, byte-budget chunks and bitwise
+invariance."""
 
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hqcg.parallel
-from hqcg import ConfigError, build_model, forward_batch
-from hqcg.parallel import CHUNK_BYTES, map_rows, thread_count
+from hqcg import build_model, forward_batch
+from hqcg.parallel import CHUNK_BYTES, map_rows
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _chunk_lengths(rows):
@@ -36,19 +40,29 @@ def _count_pools(monkeypatch):
     return made
 
 
-def test_thread_count_resolution(monkeypatch):
-    monkeypatch.delenv("HQCG_THREADS", raising=False)
-    assert thread_count(2) == 2
-    assert thread_count(0) >= 1  # auto
-    monkeypatch.setenv("HQCG_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("HQCG_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("HQCG_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        thread_count()
-    with pytest.raises(ConfigError):
-        thread_count(-1)
+# Prints the pool size unpinned, then pinned to one CPU; the pin acts on
+# this child process only.
+_PINNED = """
+import os
+from hqcg.parallel import thread_count
+print(thread_count(), min(4, len(os.sched_getaffinity(0))))
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(thread_count())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call on this platform")
+def test_thread_count_resolution():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run([sys.executable, "-c", _PINNED], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    unpinned, pinned = proc.stdout.splitlines()
+    count, cpus = unpinned.split()
+    assert count == cpus
+    assert pinned == "1"
 
 
 def test_chunks_split_by_bytes():
@@ -64,7 +78,7 @@ def test_sub_budget_batch_runs_on_calling_thread(monkeypatch):
         raise AssertionError("a batch under one chunk started a pool")
 
     monkeypatch.setattr(hqcg.parallel, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setenv("HQCG_THREADS", "4")
+    monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 4)
     model = build_model(8, 4, 3, seed=3)
     signals = np.random.default_rng(1).normal(size=(2000, 256))
     probs = forward_batch(model, signals)
@@ -85,28 +99,17 @@ def test_map_rows_output_independent_of_workers(monkeypatch):
     assert single.tobytes() == pooled.tobytes()
 
 
-def test_env_variable_reaches_forward_batch(monkeypatch):
+def test_thread_count_reaches_forward_batch(monkeypatch):
     made = _count_pools(monkeypatch)
     model = build_model(8, 4, 3, seed=3)
     # two full chunks of 256-value rows and a 9-row tail
     rows = 2 * (CHUNK_BYTES // (256 * 8)) + 9
     signals = np.random.default_rng(1).normal(size=(rows, 256))
-    monkeypatch.setenv("HQCG_THREADS", "1")
+    monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 1)
     a = forward_batch(model, signals)
     assert made == []
-    monkeypatch.setenv("HQCG_THREADS", "4")
+    monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 4)
     b = forward_batch(model, signals)
     assert made == [4]
     assert a.tobytes() == b.tobytes()
 
-
-@pytest.mark.skipif(shutil.which("hqcg") is None,
-                    reason="console script not installed")
-def test_console_script_runs():
-    proc = subprocess.run(
-        ["hqcg", "inspect", "--qubits", "8", "--group-size", "4",
-         "--classes", "2"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0
-    assert "LQCG: 8 gates, 24 params" in proc.stdout

@@ -91,6 +91,14 @@ def test_statevector_validates_norm_and_length():
         Statevector(2, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    # a NaN norm must fail the norm check, not pass it as "not too far"
+    for amps in ([bad, 0.0], [1.0, bad], [bad, bad]):
+        with pytest.raises(StateError):
+            Statevector(1, amps)
+
+
 def test_random_circuit_matches_dense_oracle():
     rng = np.random.default_rng(11)
     n = 5

@@ -116,6 +116,14 @@ def test_accuracy_examples():
     assert accuracy([[0.9, 0.4]], [[1, 1]]) == 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_accuracy_rejects_non_finite_scores(bad):
+    with pytest.raises(hqcg.NumericError):
+        accuracy([[bad]], [[0]])
+    with pytest.raises(hqcg.NumericError):
+        accuracy([[0.9, bad]], [[1, 0]])
+
+
 def test_roc_auc_perfect_and_partial():
     assert roc_auc([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0]) == 1.0
     assert roc_auc([0.9, 0.6, 0.4, 0.1], [1, 0, 1, 0]) == 0.75
@@ -123,6 +131,15 @@ def test_roc_auc_perfect_and_partial():
 
 def test_roc_auc_all_ties():
     assert roc_auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_auc_rejects_non_finite_scores(bad):
+    with pytest.raises(hqcg.NumericError):
+        roc_auc([bad, 0.5, 0.2], [1, 0, 0])
+    # checked before the labels, so a one-label input raises it too
+    with pytest.raises(hqcg.NumericError):
+        roc_auc([bad, 0.5], [1, 1])
 
 
 def test_roc_auc_single_class_undefined():
@@ -160,6 +177,13 @@ def test_macro_auc_skips_degenerate_class():
         value = macro_auc(probs, labels)
     assert value == 1.0
     assert any("skipped" in str(w.message) for w in caught)
+
+
+def test_macro_auc_passes_non_finite_scores_up():
+    with pytest.raises(hqcg.NumericError):
+        macro_auc([[np.nan], [0.5], [0.2]], [[1], [0], [0]])
+    with pytest.raises(hqcg.NumericError):  # even in a class it would skip
+        macro_auc([[0.9, np.nan], [0.1, 0.4]], [[1, 1], [0, 1]])
 
 
 def _tiny_dataset(rng, count=24, length=8, classes=2):
