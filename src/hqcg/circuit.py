@@ -18,6 +18,8 @@ Each layer is built as that stack of fused block unitaries, each the
 entrywise product of one table per gate (``chain_blocks``), and applied
 one dense block product at a time
 (``apply_param_circuit(amps, circuit, unitaries)``); no gate runs alone.
+Each circuit keeps the ``Layout`` its sweeps read (``ParamCircuit.layout``);
+an LQCG layer's blocks lie in natural qubit order, so it needs no transpose.
 
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring; the ring only permutes basis
@@ -25,7 +27,8 @@ states, so they are built as permuted Kronecker products of single-qubit
 columns (``class_state_trace(cols)``). Class scores are state
 fidelities |<psi|phi_i>|^2, computable either directly or through the
 ancilla swap test. The batched forward pass scores signals against the
-class states pulled back through both layers (``pull_back``).
+class states pulled back through both layers (``pull_back``), all C
+classes in one (batch, 2C) array of overlaps (``conj_overlaps``).
 
 Every scoring and gradient call builds its gates, fused blocks and class
 columns once, in ``fused_blocks``; the functions below apply what they are
@@ -35,7 +38,8 @@ given and rebuild nothing from ``theta``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,26 +63,34 @@ from .train import check_batch
 PARAMS_PER_GATE = 3
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+# diag(-i/2, i/2), the derivative factor of an Rz angle, and the 2 x 2
+# identity, the table of a controlled gate whose control bit is 0
+_HALF, _EYE = np.array([-0.5j, 0.5j]), np.eye(2)
+for _table in (_HALF, _EYE):
+    _table.setflags(write=False)
 
 
-def _rz_ry_rz(cos, sin, a, c) -> np.ndarray:
-    """Rz(c) @ [[cos, -sin], [sin, cos]] @ Rz(a), entry by entry, as (..., 2, 2).
+def _rz_ry_rz(cos, sin, phases) -> np.ndarray:
+    """Rz(c) @ [[cos, -sin], [sin, cos]] @ Rz(a), entry by entry, as (..., 2, 2),
+    from the ``_euler_parts`` phases of a and c.
     Each entry takes the Rz(c) phase, then the Rz(a) phase, in the order of
     the matrix product, so it rounds as that product does."""
-    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
-    u = np.empty(np.shape(cos) + (2, 2), dtype=np.complex128)
+    ea, ec, eac, ecc = phases
+    u = np.empty(cos.shape + (2, 2), dtype=np.complex128)
     u[..., 0, 0] = cos * ec * ea
-    u[..., 0, 1] = -sin * ec * ea.conj()
-    u[..., 1, 0] = sin * ec.conj() * ea
-    u[..., 1, 1] = cos * ec.conj() * ea.conj()
+    u[..., 0, 1] = -sin * ec * eac
+    u[..., 1, 0] = sin * ecc * ea
+    u[..., 1, 1] = cos * ecc * eac
     return u
 
 
 def _euler_parts(angles):
-    """cos(b/2), sin(b/2), a and c of a (..., 3) block of (a, b, c) rows."""
+    """cos(b/2), sin(b/2) and the phases (e^{-ia/2}, e^{-ic/2}, e^{ia/2},
+    e^{ic/2}) of a (..., 3) block of (a, b, c) rows."""
     angles = np.asarray(angles, dtype=np.float64)
     a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
-    return np.cos(0.5 * b), np.sin(0.5 * b), a, c
+    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
+    return np.cos(0.5 * b), np.sin(0.5 * b), (ea, ec, ea.conj(), ec.conj())
 
 
 def rotation_matrices(angles) -> np.ndarray:
@@ -92,13 +104,16 @@ def rotation_matrices(angles) -> np.ndarray:
 def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
     """``rotation_matrices`` of a (..., 3) angle block together with the
     (..., 3, 2, 2) stack of their derivatives by a, b and c:
-    U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U."""
-    cos, sin, a, c = _euler_parts(angles)
-    u = _rz_ry_rz(cos, sin, a, c)
-    half = np.array([-0.5j, 0.5j])
+    U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U, with the
+    phases of a and c computed once for both."""
+    cos, sin, phases = _euler_parts(angles)
+    u = _rz_ry_rz(cos, sin, phases)
+    du = np.empty(u.shape[:-2] + (3, 2, 2), dtype=np.complex128)
+    np.multiply(u, _HALF, out=du[..., 0, :, :])
     # Ry'(b) = [[-sin/2, -cos/2], [cos/2, -sin/2]] has the shape of Ry
-    return u, np.stack([u * half, _rz_ry_rz(-0.5 * sin, 0.5 * cos, a, c),
-                        half[:, None] * u], axis=-3)
+    du[..., 1, :, :] = _rz_ry_rz(-0.5 * sin, 0.5 * cos, phases)
+    np.multiply(_HALF[:, None], u, out=du[..., 2, :, :])
+    return u, du
 
 
 @dataclass(frozen=True)
@@ -150,6 +165,34 @@ class ParamCircuit:
     @property
     def num_params(self) -> int:
         return PARAMS_PER_GATE * len(self.blocks) * self.width
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The layer's ``Layout``, computed on first read and kept here."""
+        n, k, blocks = self.num_qubits, self.width, len(self.blocks)
+        inner = [q for block in reversed(self.blocks) for q in reversed(block)]
+        outer = [q for q in reversed(range(n)) if q not in inner]
+        into = (0, *(n - q for q in inner + outer))
+        back = tuple(int(a) for a in np.argsort((0, *(n - q for q in outer + inner))))
+        return Layout((blocks, k), into, back, into == back == tuple(range(n + 1)),
+                      tuple((-1, 1 << k, (1 << n) >> (k * (blocks - b)))
+                            for b in range(blocks)))
+
+
+class Layout(NamedTuple):
+    """What the sweeps of a layer read of it. ``into`` orders the axes of the
+    (rows, 2, ..., 2) amplitude tensor, qubit q on axis n - q, with the
+    blocks on top, the last block highest and each block's first qubit
+    lowest; ``back`` restores the natural order from the other qubits on top
+    of the blocks, where ``apply_param_circuit`` leaves them. ``natural``:
+    both are the identity, as for every LQCG layer. ``views[b]`` shapes the
+    layer-ordered amplitudes as (rows and blocks above b, block b, rest)."""
+
+    shape: tuple[int, int]  # (blocks, k), the shape of the layer's angle triples
+    into: tuple[int, ...]
+    back: tuple[int, ...]
+    natural: bool
+    views: tuple[tuple[int, int, int], ...]
 
 
 def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
@@ -236,11 +279,12 @@ def chain_blocks(mats: np.ndarray):
     k-1 contiguous multiplies."""
     blocks, k = mats.shape[:2]
     tables = np.empty((blocks, k, 2, 2, 2), dtype=np.complex128)
-    tables[:, :, 0] = np.eye(2)
+    tables[:, :, 0] = _EYE
     tables[:, :, 1] = mats
     factors = np.empty((k, blocks) + (2,) * (2 * k), dtype=np.complex128)
+    table = (blocks, 2, 2, 2) + (1,) * (2 * k - 3)
     for j, lay in enumerate(chain_axes(k)):
-        factors[j] = tables[:, j].reshape((blocks, 2, 2, 2) + (1,) * (2 * k - 3)).transpose(lay)
+        factors[j] = tables[:, j].reshape(table).transpose(lay)
     factors = factors.reshape(k, blocks, 1 << k, 1 << k)
     fused = factors[1] * factors[0]
     # H_j on the left, as the gates run: V rounds as their gate-order product
@@ -249,38 +293,27 @@ def chain_blocks(mats: np.ndarray):
     return fused, factors
 
 
-@lru_cache(maxsize=64)
-def layer_axes(circuit: ParamCircuit):
-    """Axis orders of the (rows, 2, ..., 2) amplitude tensor, qubit q on axis
-    n - q, between which a layer runs. The first puts the blocks on top, the
-    last block highest and each block's first qubit lowest, and the qubits
-    outside the blocks below them. The second, as an inverse permutation,
-    brings back the natural order from the outer qubits on top of the blocks,
-    where the block sweep of ``apply_param_circuit`` leaves them."""
-    n = circuit.num_qubits
-    inner = [q for block in reversed(circuit.blocks) for q in reversed(block)]
-    outer = [q for q in reversed(range(n)) if q not in inner]
-    return (0, *(n - q for q in inner + outer)), \
-        tuple(np.argsort((0, *(n - q for q in outer + inner))))
-
-
 def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
                         unitaries: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     """Run the layer, or with ``adjoint`` its inverse, over raw amplitudes
     (batched over leading axes), one block of ``unitaries``, the layer's
     ``chain_blocks`` unitary stack, at a time.
 
-    In the first order of ``layer_axes`` the top block is one (2^k, 2^k)
-    product on every row; the product leaves that block at the bottom, so
-    the next block comes on top."""
+    In the first order of the circuit's ``Layout`` the top block is one
+    (2^k, 2^k) product on every row; the product leaves that block at the
+    bottom, so the next block comes on top. A natural layout skips both
+    transposes."""
     # right factors: V^T, or conj(V) = (V^dagger)^T for the adjoint
     right = unitaries.conj() if adjoint else unitaries.swapaxes(-1, -2)
-    n, k = circuit.num_qubits, circuit.width
-    into, back = layer_axes(circuit)
-    x = amps.reshape((-1,) + (2,) * n).transpose(into).reshape(-1, 1 << k, (1 << n) >> k)
+    layout = circuit.layout
+    tensor = (-1,) + (2,) * circuit.num_qubits
+    x = amps if layout.natural else amps.reshape(tensor).transpose(layout.into)
+    x = x.reshape(layout.views[-1])
     for v in right[::-1]:
         x = (x.swapaxes(1, 2) @ v).reshape(x.shape)
-    return x.reshape((-1,) + (2,) * n).transpose(back).reshape(amps.shape)
+    if not layout.natural:
+        x = x.reshape(tensor).transpose(layout.back)
+    return x.reshape(amps.shape)
 
 
 # --- learnable class states ---------------------------------------------------
@@ -313,11 +346,11 @@ def class_state_trace(cols: np.ndarray):
     arrays, which ``grad.class_gradients`` reads in reverse. The ring
     permutes the last product by a gather through its preimage.
     """
-    num_qubits = cols.shape[1]
+    classes, num_qubits = cols.shape[:2]
     products = [cols[:, 0]]
     for q in range(1, num_qubits):
         products.append((cols[:, q, :, None] * products[-1][:, None, :])
-                        .reshape(len(cols), -1))
+                        .reshape(classes, -1))
     return (np.take(products.pop(), _ring_permutation(num_qubits, inverse=True), axis=1),
             products)
 
@@ -393,12 +426,13 @@ def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> n
 def split_triples(model: HQCGModel, rows: np.ndarray):
     """The LQCG, GQCG and class-state parts of an array with one entry per
     (a, b, c) triple of ``model.theta``, shaped (blocks, k, ...) for the
-    layers and (C, n, ...) for the class states."""
-    lo, hi = model.lqcg.num_params // 3, model.class_params_offset // 3
-    return tuple(part.reshape(shape + part.shape[1:]) for part, shape in (
-        (rows[:lo], (len(model.lqcg.blocks), model.lqcg.width)),
-        (rows[lo:hi], (len(model.gqcg.blocks), model.gqcg.width)),
-        (rows[hi:], (model.num_classes, model.num_qubits))))
+    layers, as their ``Layout`` gives, and (C, n, ...) for the class states."""
+    lq, gq = model.lqcg.layout.shape, model.gqcg.layout.shape
+    lo = lq[0] * lq[1]
+    hi = lo + gq[0] * gq[1]
+    tail = rows.shape[1:]
+    return (rows[:lo].reshape(lq + tail), rows[lo:hi].reshape(gq + tail),
+            rows[hi:].reshape((model.num_classes, model.num_qubits) + tail))
 
 
 def fused_blocks(model: HQCGModel, mats: np.ndarray):
@@ -419,14 +453,23 @@ def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries):
 
 
 def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
-    """Real and imaginary parts of conj(a_si) = <x_s|U^dagger phi_i> for raw
-    real rows of length L with L2 norms ``norms``. The encoded state is
-    x_s / norms[s], zero past L, so only the first L columns of each
-    pulled-back state count, and the norm divides the (batch, C) products
-    rather than the signals."""
+    """conj(a_si) = <x_s|U^dagger phi_i> for raw real rows of length L with
+    L2 norms ``norms``, as one (batch, 2C) array: the real parts in the
+    first C columns and the imaginary parts in the last C. The encoded
+    state is x_s / norms[s], zero past L, so only the first L columns of
+    each pulled-back state count, and the norms divide the products, in
+    place, rather than the signals."""
     head = pulled[:, : signals.shape[1]]
-    both = signals @ np.concatenate([head.real, head.imag]).T / norms[:, None]
-    return both[:, : len(pulled)], both[:, len(pulled) :]
+    both = signals @ np.concatenate([head.real, head.imag]).T
+    both /= norms[:, None]
+    return both
+
+
+def fidelities(overlaps: np.ndarray) -> np.ndarray:
+    """The (batch, C) scores |a_si|^2 from the (batch, 2C) ``conj_overlaps``."""
+    classes = overlaps.shape[1] // 2
+    re, im = overlaps[:, :classes], overlaps[:, classes:]
+    return re * re + im * im
 
 
 def forward_batch(model: HQCGModel, signals) -> np.ndarray:
@@ -444,8 +487,7 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
 
     def probs_chunk(chunk):
-        re, im = conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled)
-        return re * re + im * im
+        return fidelities(conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled))
 
     return map_rows(probs_chunk, signals)
 

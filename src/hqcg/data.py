@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, EmptyDatasetError, check_seed
+from .errors import ConfigError, DataFormatError, EmptyDatasetError, ShapeError, \
+    check_seed
 
 CSV_NAME = "dataset.csv"
 MANIFEST_NAME = "manifest.json"
@@ -132,25 +133,39 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def stack_samples(samples) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(signals, labels, ids) matrices for a sample list or Dataset."""
+    """(signals, labels, ids) matrices for a sample list or Dataset. Samples
+    whose values or labels differ in length raise a ShapeError that names
+    the first one."""
     if isinstance(samples, Dataset):
         samples = samples.samples
     if len(samples) == 0:
         raise EmptyDatasetError("no samples to stack")
-    signals = np.array([s.values for s in samples], dtype=np.float64)
-    labels = np.array([s.labels for s in samples], dtype=np.float64)
+    try:
+        signals = np.array([s.values for s in samples], dtype=np.float64)
+        labels = np.array([s.labels for s in samples], dtype=np.float64)
+    except ValueError:
+        # only once numpy has failed, so a stack that fits pays nothing
+        for field in ("values", "labels"):
+            want = np.shape(getattr(samples[0], field))
+            for s in samples:
+                if np.shape(getattr(s, field)) != want:
+                    raise ShapeError(f"sample {s.id!r}: {field} have shape "
+                                     f"{np.shape(getattr(s, field))}, but sample "
+                                     f"{samples[0].id!r} has {want}") from None
+        raise
     return signals, labels, [s.id for s in samples]
 
 
 def write_atomic(path, write) -> None:
     """Write ``path`` whole or not at all. ``write(fh)`` fills a new
-    temporary text file in the same directory, which is flushed to disk and
-    then renamed over ``path``. If anything fails, the temporary file is
-    removed and ``path`` keeps its earlier contents."""
+    temporary UTF-8 text file with "\n" line ends, whatever the locale, in
+    the same directory; it is flushed to disk and then renamed over
+    ``path``. If anything fails, the temporary file is removed and ``path``
+    keeps its earlier contents."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             write(fh)
             fh.flush()
             os.fsync(fh.fileno())

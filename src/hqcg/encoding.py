@@ -43,11 +43,12 @@ def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
             f"signals of length {signals.shape[1]} do not fit in {num_qubits} qubits"
         )
     norms = np.sqrt(np.einsum("ij,ij->i", signals, signals))
-    bad = ~np.isfinite(norms)
-    if bad.any():
-        raise EncodingError(f"signal row {int(np.argmax(bad))} contains NaN or Inf "
-                            "or overflows its L2 norm")
-    if (norms == 0.0).any():
+    # one pass each when all is well: a NaN makes both extremes NaN
+    if not (np.minimum.reduce(norms) > 0.0 and np.maximum.reduce(norms) < np.inf):
+        bad = ~np.isfinite(norms)
+        if bad.any():
+            raise EncodingError(f"signal row {int(np.argmax(bad))} contains NaN or Inf "
+                                "or overflows its L2 norm")
         raise EncodingError(
             f"signal row {int(np.argmin(norms > 0))} is all-zero and cannot be encoded"
         )

@@ -12,11 +12,14 @@ the m = n/g block tops. With c_si = dL_s/dp_si,
 
 so the batch folds into C kets before any layer runs, and the adjoint
 method of Jones & Gacon 2020 (arXiv:2009.02823) runs over the C pairs
-(phi_i, r_i) instead of the B samples. Six (C, 2^n) arrays carry the whole
-step, however many gates there are: phi, beta = G^dagger phi and
-w = V^dagger beta from the pull-back, and r, u = V r and xi = G u from the
-forward push (``_forward_trace``), both by the fused blocks that
-``circuit.fused_blocks`` builds once per step with the class columns.
+(phi_i, r_i) instead of the B samples. The (B, 2C) array of
+``circuit.conj_overlaps`` gives the scores and, scaled in place by
+c_si / |x_s|, folds the batch with one product over the signals. Six
+(C, 2^n) arrays carry the whole step, however many gates there are: phi,
+beta = G^dagger phi and w = V^dagger beta from the pull-back, and r,
+u = V r and xi = G u from the forward push (``_forward_trace``), both by
+the fused blocks that ``circuit.fused_blocks`` builds once per step with
+the class columns.
 
 An angle of block b of LQCG gives <beta| I (x) dV_b |r> =
 <w| I (x) V_b^dagger dV_b |r>, and an angle of GQCG gives
@@ -56,10 +59,10 @@ from .circuit import (
     apply_param_circuit,
     class_state_trace,
     conj_overlaps,
+    fidelities,
     forward_batch,
     fused_blocks,
     gate_picks,
-    layer_axes,
     pull_back,
     rotations,
     split_triples,
@@ -87,21 +90,19 @@ def block_environments(bra: np.ndarray, ket: np.ndarray,
     """E_b[a, c] = sum conj(bra[block b = a]) ket[block b = c] over rows and
     over the qubits outside block b, for every block of the layer, as a
     (blocks, 2^k, 2^k) stack: <bra| I (x) X |ket> = sum_ac X[a, c] E_b[a, c]
-    for X on block b, with local qubit j of the block on bit j of a and c."""
-    n, k = circuit.num_qubits, circuit.width
-    into = layer_axes(circuit)[0]
-
-    def layer_order(amps):
-        return amps.reshape((-1,) + (2,) * n).transpose(into)
-
-    bra = np.conjugate(layer_order(bra), order="C")
-    ket = np.ascontiguousarray(layer_order(ket))
-    envs = np.empty((len(circuit.blocks), 1 << k, 1 << k), complex)
-    for b, env in enumerate(envs):
-        # below block b: blocks b-1, ..., 0 and the outer qubits
-        shape = (-1, 1 << k, (1 << n) >> (k * (len(envs) - b)))
-        np.matmul(np.moveaxis(bra.reshape(shape), 1, 0).reshape(1 << k, -1),
-                  ket.reshape(shape).transpose(0, 2, 1).reshape(-1, 1 << k), out=env)
+    for X on block b, with local qubit j of the block on bit j of a and c,
+    read through the circuit's ``Layout`` views."""
+    layout = circuit.layout
+    if not layout.natural:
+        tensor = (-1,) + (2,) * circuit.num_qubits
+        bra, ket = (a.reshape(tensor).transpose(layout.into) for a in (bra, ket))
+    bra = np.conjugate(bra, order="C")
+    ket = np.ascontiguousarray(ket)
+    size = 1 << layout.shape[1]
+    envs = np.empty((layout.shape[0], size, size), complex)
+    for view, env in zip(layout.views, envs):
+        np.matmul(bra.reshape(view).transpose(1, 0, 2).reshape(size, -1),
+                  ket.reshape(view).transpose(0, 2, 1).reshape(-1, size), out=env)
     return envs
 
 
@@ -169,15 +170,18 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     norms = row_norms(signals, model.num_qubits)
     states, products = class_state_trace(cols)
     beta, pulled = pull_back(model, states, unitaries)
-    re, im = conj_overlaps(signals, norms, pulled)  # conj(a_si) = re + i im
-    probs = re * re + im * im
+    overlaps = conj_overlaps(signals, norms, pulled)  # [Re | Im] of conj(a_si)
+    probs = fidelities(overlaps)
     loss = mean_loss(bce_rows(probs, labels))
 
-    coef = bce_prob_gradient(probs, labels)  # dL_s/dp_si, clamp-aware
-    # r_i = sum_s c_si conj(a_si) x_s / norms[s], one product over the signals
-    scale = coef / norms[:, None]
-    folded = np.concatenate([scale * re, scale * im], axis=1).T @ signals
-    kets = np.zeros_like(pulled)
+    # r_i = sum_s c_si conj(a_si) x_s / norms[s], c_si = dL_s/dp_si (clamp-
+    # aware): the overlaps scaled in place, then one product over the signals
+    scale = bce_prob_gradient(probs, labels)
+    scale /= norms[:, None]
+    pairs = overlaps.reshape(len(signals), 2, -1)
+    pairs *= scale[:, None]
+    folded = overlaps.T @ signals
+    kets = np.zeros(pulled.shape, complex)
     kets[:, : signals.shape[1]] = folded[: len(kets)] + 1j * folded[len(kets) :]
     u, xi, _ = _forward_trace(model, kets, unitaries)
 

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import stack_samples, write_json, write_lines
-from .errors import ConfigError, NumericError, ShapeError, UndefinedMetricError, \
-    check_seed
+from .errors import ConfigError, DataFormatError, NumericError, ShapeError, \
+    UndefinedMetricError, check_seed
 
 PROB_FLOOR = 1e-7  # BCE clamp: probabilities restricted to [floor, 1 - floor]
 
@@ -96,7 +96,8 @@ class Metrics:
 
 
 def clamp_probs(probs: np.ndarray) -> np.ndarray:
-    return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    """``probs`` clipped to [floor, 1 - floor]; a NaN stays NaN, as in np.clip."""
+    return np.minimum(np.maximum(probs, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -104,36 +105,60 @@ def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if probs.shape != labels.shape:
         raise ShapeError(f"probs shape {probs.shape} != labels shape {labels.shape}")
     p = clamp_probs(probs)
-    return -np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p), axis=1)
+    terms = labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
+    # -mean over the classes: np.mean sums and divides the same way
+    return np.add.reduce(terms, axis=1) / -probs.shape[1]
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, refused if they are not real numbers:
+    a complex array would lose its imaginary part, and text has no value."""
+    array = np.asarray(values)
+    if array.dtype != np.float64:
+        if array.dtype.kind not in "biuf":
+            raise DataFormatError(f"{what} must be real numbers, got dtype {array.dtype}")
+        array = array.astype(np.float64)
+    return array
 
 
 def check_batch(model, signals, labels=None):
     """(signals, labels) as float64 arrays once they are a batch ``model``
-    can score: finite ``model.theta``, a non-empty (batch, length) signal
-    matrix and, where given, (batch, ``model.num_classes``) labels. Each
-    model checks its own signal width and values where it reads them."""
+    can score: finite ``model.theta``, a non-empty (batch, length) matrix of
+    real signals and, where given, (batch, ``model.num_classes``) labels in
+    [0, 1]. Each model checks its own signal width and values where it
+    reads them."""
     if not np.isfinite(model.theta).all():
         raise NumericError("non-finite model parameters")
-    signals = np.asarray(signals, dtype=np.float64)
+    signals = _real_array(signals, "signals")
     if signals.ndim != 2 or 0 in signals.shape:
         raise ShapeError(f"expected a non-empty (batch, length) matrix, "
                          f"got shape {signals.shape}")
     if labels is not None:
-        labels = np.asarray(labels, dtype=np.float64)
+        labels = _real_array(labels, "labels")
         if labels.shape != (len(signals), model.num_classes):
             raise ShapeError(f"labels shape {labels.shape} does not match "
                              f"({len(signals)}, {model.num_classes})")
+        # a NaN fails both comparisons
+        if not (np.minimum.reduce(labels, axis=None) >= 0.0
+                and np.maximum.reduce(labels, axis=None) <= 1.0):
+            row = int(np.argmin(((labels >= 0.0) & (labels <= 1.0)).all(axis=1)))
+            raise DataFormatError(f"labels of batch row {row} must lie in [0, 1], "
+                                  f"got {labels[row].tolist()}")
     return signals, labels
 
 
 def mean_loss(losses: np.ndarray) -> float:
     """The mean of per-row ``bce_rows`` losses; a non-finite row raises a
     NumericError that names it."""
-    bad = ~np.isfinite(losses)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise NumericError(f"non-finite loss for batch row {idx}", sample_index=idx)
-    return float(losses.mean())
+    total = np.add.reduce(losses)
+    # any NaN or Inf row makes the sum non-finite
+    if not np.isfinite(total):
+        bad = ~np.isfinite(losses)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise NumericError(f"non-finite loss for batch row {idx}", sample_index=idx)
+    # the sum divided by the count, as losses.mean() does
+    return float(total / losses.size)
 
 
 def bce_prob_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

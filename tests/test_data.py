@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,9 @@ from hqcg.cli import save_model
 from hqcg.data import class_templates, write_atomic
 from hqcg.train import EpochRecord, write_curves_csv
 from oracles import linear_probe_class_aucs, peak_traced_bytes
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _sha256(path) -> str:
@@ -107,6 +114,31 @@ def test_csv_round_trip_exact(tmp_path):
         assert sa.id == sb.id
         np.testing.assert_array_equal(sa.values, sb.values)
         np.testing.assert_array_equal(sa.labels, sb.labels)
+
+
+_ASCII_LOCALE_ROUND_TRIP = """
+import locale, sys
+import numpy as np
+from hqcg import Dataset, Sample, SyntheticSpec, load_dataset, save_dataset
+assert locale.getpreferredencoding(False).lower() in ("ascii", "ansi_x3.4-1968")
+ids = ["caf\\u00e9", "\\u03b8-\\u6ce2"]
+ds = Dataset([Sample(i, np.array([1.0, -2.0]), np.array([1])) for i in ids], 1, 2)
+save_dataset(ds, sys.argv[1], SyntheticSpec(num_classes=1, signal_len=2, num_samples=2))
+assert [s.id for s in load_dataset(sys.argv[1]).samples] == ids
+"""
+
+
+def test_non_ascii_ids_round_trip_under_an_ascii_locale(tmp_path):
+    # files are written in UTF-8, which is how they are read, whatever the
+    # locale: under LC_ALL=C without UTF-8 mode saving used to raise a bare
+    # UnicodeEncodeError
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUTF8", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", _ASCII_LOCALE_ROUND_TRIP,
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "\ncaf\u00e9,0,1,-2\n" in (tmp_path / "dataset.csv").read_text(encoding="utf-8")
 
 
 def test_save_is_byte_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 """Gradient engine vs the finite-difference oracle and closed forms."""
 
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +213,9 @@ def test_fused_layers_match_dense_gate_product(n):
     # n=12 the layer against gate-by-gate statevector runs
     rng = np.random.default_rng(27 + n)
     for circuit in _layers(n):
+        # only a layer whose blocks cover the register in order skips the
+        # transposes, and every LQCG layer does
+        assert circuit.layout.natural == (len(circuit.blocks) * circuit.width == n)
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
         gates = _gates(circuit, theta)
         angles = theta.reshape(len(circuit.blocks), circuit.width, 3)
@@ -268,8 +273,8 @@ def test_cached_tables_are_read_only():
     # so no array it returns may be writable
     cached = {name: fn for module in (hqcg.circuit, hqcg.grad, hqcg.qstate)
               for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
-    assert set(cached) == {"chain_axes", "layer_axes", "_ring_permutation", "gate_picks"}
-    results = [cached["chain_axes"](3), cached["layer_axes"](build_gqcg(6, 2)),
+    assert set(cached) == {"chain_axes", "_ring_permutation", "gate_picks"}
+    results = [cached["chain_axes"](3),
                cached["_ring_permutation"](3), cached["_ring_permutation"](3, True),
                *cached["gate_picks"](3)]
     arrays = [r for r in results if isinstance(r, np.ndarray)]
@@ -277,6 +282,9 @@ def test_cached_tables_are_read_only():
     for table in arrays:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
+    # so are the module-level tables every step reads
+    for table in (hqcg.circuit._HALF, hqcg.circuit._EYE):
+        assert not table.flags.writeable
 
 
 def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
@@ -334,3 +342,53 @@ def test_class_gradients_match_dense_derivative(n):
         cols[q] = dmats[c, q, j + 1, :, :1]
         want = np.vdot(xi[c], ring @ site_matrix(n, cols)[:, 0]).real
         assert abs(got[c, q, j] - want) <= 1e-13 * abs(want), (c, q, j)
+
+
+@pytest.mark.parametrize("n, g, classes", [(8, 4, 4), (12, 4, 4), (8, 4, 3)])
+def test_step_scores_and_loss_are_the_forward_pass_bit_for_bit(n, g, classes, monkeypatch):
+    # one forward path: the step's loss is batch_loss and the scores it
+    # takes the loss of are forward_batch's, to the last bit
+    rng = np.random.default_rng(29 + n + classes)
+    model = build_model(n, g, classes, seed=n * classes)
+    signals, labels = _random_batch(rng, model, 17, 100)
+    seen, bce_rows = [], hqcg.grad.bce_rows
+
+    def recording(probs, labels):
+        seen.append(probs.copy())
+        return bce_rows(probs, labels)
+
+    monkeypatch.setattr(hqcg.grad, "bce_rows", recording)
+    loss, _ = loss_and_gradients(model, signals, labels)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    assert seen[0].tobytes() == forward_batch(model, signals).tobytes()
+    assert np.float64(loss).tobytes() == np.float64(batch_loss(model, signals, labels)).tobytes()
+
+
+# calls made from hqcg frames in one (8, 4, 4) step of 64 rows: 348 before
+# the layouts were cached on the circuits, 212 after; the budget keeps ~10%
+STEP_CALL_BUDGET = 233
+
+
+def test_step_call_budget():
+    # counts Python and C calls, not time, so it cannot flake on a busy host
+    package = os.path.dirname(hqcg.__file__)
+    rng = np.random.default_rng(30)
+    model = build_model(8, 4, 4, seed=9)
+    signals, labels = _random_batch(rng, model, 64, 256)
+    loss_and_gradients(model, signals, labels)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        caller = frame.f_back if event == "call" else frame
+        if event in ("call", "c_call") and caller is not None \
+                and caller.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        loss_and_gradients(model, signals, labels)
+    finally:
+        sys.setprofile(None)
+    assert 0 < calls <= STEP_CALL_BUDGET, calls

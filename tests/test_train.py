@@ -1,6 +1,7 @@
 """Loss values, schedule, optimizer oracle, metrics, and loop determinism."""
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
@@ -208,6 +209,19 @@ def test_train_loop_zero_epochs():
     np.testing.assert_array_equal(model.theta, before)
 
 
+@pytest.mark.parametrize("field", ["values", "labels"])
+def test_train_loop_names_the_first_sample_of_another_length(field):
+    # numpy's stack refused ragged samples with a bare "inhomogeneous shape"
+    samples = _tiny_dataset(np.random.default_rng(9))
+    for i in (5, 9):
+        short = getattr(samples[i], field)[:-1]
+        samples[i] = dataclasses.replace(samples[i], **{field: short})
+    model = build_mlp(8, 4, 2, seed=0)
+    with pytest.raises(ShapeError, match=f"sample 't005': {field} have shape"):
+        train_loop(model, samples, samples, TrainConfig(epochs=1, batch_size=8),
+                   mlp_gradients, mlp_forward_batch)
+
+
 def test_train_loop_determinism():
     rng = np.random.default_rng(7)
     samples = _tiny_dataset(rng)
@@ -290,15 +304,21 @@ FAMILIES = {
     "classical": (lambda: build_mlp(32, 8, 3, seed=1), 32,
                   mlp_forward_batch, mlp_gradients),
 }
+# a label of 2 used to train silently and a NaN label to end as a
+# NumericError (exit 3); a complex signal lost its imaginary part with only a
+# warning and text raised a bare ValueError
+BAD_LABELS = {"nan-label": np.nan, "inf-label": np.inf, "label-above-one": 2.0,
+              "negative-label": -0.5}
 BAD_BATCHES = ["empty-batch", "1-d-signals", "wrong-label-shape", "wrong-width",
-               "non-finite-theta", "non-finite-signal-row"]
+               "non-finite-theta", "non-finite-signal-row", "complex-signals",
+               "text-signals", *BAD_LABELS]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("entry, case", [
     (entry, case) for entry in ("forward", "gradient") for case in BAD_BATCHES
     # a forward pass takes no labels
-    if (entry, case) != ("forward", "wrong-label-shape")])
+    if entry == "gradient" or "label" not in case])
 def test_bad_batch_is_an_hqcg_error_for_both_families(family, entry, case):
     build, width, forward_fn, gradient_fn = FAMILIES[family]
     model = build()
@@ -314,13 +334,23 @@ def test_bad_batch_is_an_hqcg_error_for_both_families(family, entry, case):
         signals = np.ones((4, width + 1))
     elif case == "non-finite-signal-row":
         signals[2, 1] = np.nan
+    elif case == "complex-signals":
+        signals = signals + 1j
+    elif case == "text-signals":
+        signals = signals.astype(str)
+    elif case in BAD_LABELS:
+        labels[2, 1] = BAD_LABELS[case]
     else:
         model.theta = model.theta.copy()
         model.theta[5] = np.nan
     # non-finite parameters are a numeric failure (exit 3), the rest exit 2
-    error = {"non-finite-theta": hqcg.NumericError,
-             "non-finite-signal-row": hqcg.EncodingError}.get(case, hqcg.HqcgError)
-    with pytest.raises(error, match="signal row 2" if case == "non-finite-signal-row" else None):
+    error, match = {"non-finite-theta": (hqcg.NumericError, None),
+                    "non-finite-signal-row": (hqcg.EncodingError, "signal row 2"),
+                    "complex-signals": (hqcg.DataFormatError, "real numbers"),
+                    "text-signals": (hqcg.DataFormatError, "real numbers"),
+                    **dict.fromkeys(BAD_LABELS, (hqcg.DataFormatError, "batch row 2")),
+                    }.get(case, (hqcg.HqcgError, None))
+    with pytest.raises(error, match=match):
         if entry == "forward":
             forward_fn(model, signals)
         else:
@@ -328,11 +358,31 @@ def test_bad_batch_is_an_hqcg_error_for_both_families(family, entry, case):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_non_finite_loss_row_is_named_for_both_families(family):
+def test_non_finite_loss_row_is_named_for_both_families(family, monkeypatch):
+    # check_batch refuses NaN labels, and every other input is checked to be
+    # finite, so the non-finite row is put into the family's per-row losses
     build, width, _, gradient_fn = FAMILIES[family]
+
+    def nan_in_row_2(probs, labels):
+        losses = bce_rows(probs, labels)
+        losses[2] = np.nan
+        return losses
+
+    monkeypatch.setattr(sys.modules[gradient_fn.__module__], "bce_rows", nan_in_row_2)
     labels = np.ones((4, 3))
-    labels[2, 1] = np.nan
     signals = np.random.default_rng(4).normal(size=(4, width))
     with pytest.raises(hqcg.NumericError, match="non-finite loss for batch row 2") as err:
         gradient_fn(build(), signals, labels)
     assert err.value.sample_index == 2
+
+
+def test_integer_and_boolean_batches_score_as_floats():
+    # the dtype check refuses only what is not a real number
+    model = hqcg.build_model(6, 3, 3, seed=1)
+    signals = np.random.default_rng(6).integers(-5, 5, size=(4, 64))
+    signals[:, 0] = 7
+    labels = np.eye(4, 3, dtype=bool)
+    want = hqcg.loss_and_gradients(model, signals.astype(float), labels.astype(float))
+    got = hqcg.loss_and_gradients(model, signals, labels)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
