@@ -28,7 +28,8 @@ columns (``class_state_trace(cols)``). Class scores are state
 fidelities |<psi|phi_i>|^2, computable either directly or through the
 ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``), all C
-classes in one (batch, 2C) array of overlaps (``conj_overlaps``).
+classes in one (batch, 2C) array of overlaps (``score_rows``), which
+takes the overlaps and norms of each block of rows while it is in cache.
 
 Every scoring and gradient call builds its gates, fused blocks and class
 columns once, in ``fused_blocks``; the functions below apply what they are
@@ -44,9 +45,9 @@ from typing import NamedTuple
 import numpy as np
 
 # perfbench/run.py traces encode_rows through this module's namespace
-from .encoding import encode_rows, row_norms  # noqa: F401
-from .errors import CapacityError, ConfigError, ShapeError, check_seed
-from .parallel import map_rows
+from .encoding import check_rows, checked_norms, encode_rows, row_norms  # noqa: F401
+from .errors import CapacityError, ConfigError, EncodingError, ShapeError, check_seed
+from .parallel import PRODUCT_MACS, map_rows
 # perfbench/run.py also traces apply_controlled_matrix through this
 # module's namespace; only the swap test runs qstate kernels here
 from .qstate import (  # noqa: F401
@@ -452,21 +453,34 @@ def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries):
     return beta, apply_param_circuit(beta, model.lqcg, unitaries[0], adjoint=True)
 
 
-def conj_overlaps(signals: np.ndarray, norms: np.ndarray, pulled: np.ndarray):
-    """conj(a_si) = <x_s|U^dagger phi_i> for raw real rows of length L with
-    L2 norms ``norms``, as one (batch, 2C) array: the real parts in the
-    first C columns and the imaginary parts in the last C. The encoded
-    state is x_s / norms[s], zero past L, so only the first L columns of
-    each pulled-back state count, and the norms divide the products, in
-    place, rather than the signals."""
-    head = pulled[:, : signals.shape[1]]
-    both = signals @ np.concatenate([head.real, head.imag]).T
-    both /= norms[:, None]
-    return both
+def overlap_columns(pulled: np.ndarray, length: int) -> np.ndarray:
+    """The first ``length`` entries of the (C, 2^n) pulled-back states, all an
+    encoded row reads, as one contiguous (length, 2C) real matrix [Re | Im]."""
+    parts = pulled[:, :length].view(np.float64).reshape(len(pulled), length, 2)
+    return parts.transpose(1, 2, 0).reshape(length, -1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # checked_norms refuses such rows
+def score_rows(signals: np.ndarray, columns: np.ndarray):
+    """(conj(a_si) = <x_s|U^dagger phi_i> as a (batch, 2C) [Re | Im] array, the
+    L2 norms |x_s|) for raw real rows and their ``overlap_columns``. Each block
+    of at most PRODUCT_MACS multiply-adds is multiplied and squared while in
+    cache; the norms then divide the products, in place, not the signals."""
+    overlaps, squares = np.empty((len(signals), columns.shape[1])), np.empty(len(signals))
+    rows = PRODUCT_MACS // columns.size
+    # where a block would hold fewer than 8 rows, one product of all is faster
+    step = rows if rows >= 8 else len(signals)
+    for i in range(0, len(signals), step):
+        block = signals[i : i + step]
+        np.matmul(block, columns, out=overlaps[i : i + step])
+        np.vecdot(block, block, out=squares[i : i + step])
+    norms = checked_norms(squares)
+    overlaps /= norms[:, None]
+    return overlaps, norms
 
 
 def fidelities(overlaps: np.ndarray) -> np.ndarray:
-    """The (batch, C) scores |a_si|^2 from the (batch, 2C) ``conj_overlaps``."""
+    """The (batch, C) scores |a_si|^2 from the (batch, 2C) ``score_rows``."""
     classes = overlaps.shape[1] // 2
     re, im = overlaps[:, :classes], overlaps[:, classes:]
     return re * re + im * im
@@ -478,18 +492,26 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
     |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
     the circuit once per call; each ``map_rows`` chunk of rows is then
-    scored by one real matrix product against the real and imaginary
-    parts of the pulled-back states. A batch of at most 8 MiB of signal is
-    one chunk, scored on the calling thread. No per-sample state is built.
+    scored by ``score_rows`` in blocks small enough for OpenBLAS's unpacked
+    kernel (``parallel.PRODUCT_MACS``), each read once for overlaps and norm.
+    A batch of at most 8 MiB of signal is one chunk, scored on the calling
+    thread. No per-sample state is built.
     """
     signals, _ = check_batch(model, signals)
+    check_rows(signals, model.num_qubits)
     _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
     pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
+    columns = overlap_columns(pulled, signals.shape[1])
 
     def probs_chunk(chunk):
-        return fidelities(conj_overlaps(chunk, row_norms(chunk, model.num_qubits), pulled))
+        return fidelities(score_rows(chunk, columns)[0])
 
-    return map_rows(probs_chunk, signals)
+    try:
+        return map_rows(probs_chunk, signals)
+    except EncodingError:
+        # a chunk names its own row: the batch's norms name the batch row
+        row_norms(signals, model.num_qubits)
+        raise
 
 
 def forward(model: HQCGModel, signal) -> np.ndarray:

@@ -255,6 +255,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--top must be in [1, {dataset.num_classes}], got {top}")
     signals, _, ids = stack_samples(dataset)
     probs = predict_fn(model, signals)
+    sys.stdout.reconfigure(encoding="utf-8")  # ids are UTF-8, as in the dataset file
     for sid, row in zip(ids, probs):
         order = np.argsort(-row, kind="stable")[:top]
         scores = "  ".join(f"class{c}={row[c]:.4f}" for c in order)

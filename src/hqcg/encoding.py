@@ -29,11 +29,9 @@ def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
     return Statevector(n, encode_rows(v.reshape(1, -1), n)[0])
 
 
-def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
-    """L2 norm of every row of a (batch, length) matrix, once the rows are
-    known to fit ``num_qubits`` and to be encodable: finite, not all zero,
-    and with a norm that does not overflow."""
-    signals = np.asarray(signals, dtype=np.float64)
+def check_rows(signals: np.ndarray, num_qubits: int) -> None:
+    """Refuse a matrix that is not (batch, length) or whose rows do not fit
+    ``num_qubits``."""
     if signals.ndim != 2 or signals.shape[1] == 0:
         raise EncodingError(
             f"expected a (batch, length) matrix, got shape {signals.shape}")
@@ -42,17 +40,30 @@ def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
         raise CapacityError(
             f"signals of length {signals.shape[1]} do not fit in {num_qubits} qubits"
         )
-    norms = np.sqrt(np.einsum("ij,ij->i", signals, signals))
+
+
+def checked_norms(squares: np.ndarray) -> np.ndarray:
+    """The L2 norms of signal rows from their squared norms, once every row is
+    known to be encodable: finite, not all zero, and not overflowing its norm."""
     # one pass each when all is well: a NaN makes both extremes NaN
-    if not (np.minimum.reduce(norms) > 0.0 and np.maximum.reduce(norms) < np.inf):
-        bad = ~np.isfinite(norms)
+    if not (np.minimum.reduce(squares) > 0.0 and np.maximum.reduce(squares) < np.inf):
+        bad = ~np.isfinite(squares)
         if bad.any():
             raise EncodingError(f"signal row {int(np.argmax(bad))} contains NaN or Inf "
                                 "or overflows its L2 norm")
         raise EncodingError(
-            f"signal row {int(np.argmin(norms > 0))} is all-zero and cannot be encoded"
+            f"signal row {int(np.argmin(squares > 0))} is all-zero and cannot be encoded"
         )
-    return norms
+    return np.sqrt(squares)
+
+
+@np.errstate(over="ignore")  # checked_norms refuses a norm that overflows
+def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
+    """L2 norm of every row of a (batch, length) matrix, once the rows are
+    known to fit ``num_qubits`` and to be encodable."""
+    signals = np.asarray(signals, dtype=np.float64)
+    check_rows(signals, num_qubits)
+    return checked_norms(np.vecdot(signals, signals))
 
 
 def encode_rows(signals: np.ndarray, num_qubits: int) -> np.ndarray:

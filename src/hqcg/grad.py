@@ -13,13 +13,13 @@ the m = n/g block tops. With c_si = dL_s/dp_si,
 so the batch folds into C kets before any layer runs, and the adjoint
 method of Jones & Gacon 2020 (arXiv:2009.02823) runs over the C pairs
 (phi_i, r_i) instead of the B samples. The (B, 2C) array of
-``circuit.conj_overlaps`` gives the scores and, scaled in place by
-c_si / |x_s|, folds the batch with one product over the signals. Six
-(C, 2^n) arrays carry the whole step, however many gates there are: phi,
-beta = G^dagger phi and w = V^dagger beta from the pull-back, and r,
-u = V r and xi = G u from the forward push (``_forward_trace``), both by
-the fused blocks that ``circuit.fused_blocks`` builds once per step with
-the class columns.
+``circuit.score_rows``, the row-block pass of ``forward_batch``, gives the
+scores and, scaled in place by c_si / |x_s|, folds the batch with one
+product over the signals. Six (C, 2^n) arrays carry the whole step,
+however many gates there are: phi, beta = G^dagger phi and
+w = V^dagger beta from the pull-back, and r, u = V r and xi = G u from the
+forward push (``_forward_trace``), both by the fused blocks that
+``circuit.fused_blocks`` builds once per step with the class columns.
 
 An angle of block b of LQCG gives <beta| I (x) dV_b |r> =
 <w| I (x) V_b^dagger dV_b |r>, and an angle of GQCG gives
@@ -58,19 +58,20 @@ from .circuit import (
     ParamCircuit,
     apply_param_circuit,
     class_state_trace,
-    conj_overlaps,
     fidelities,
     forward_batch,
     fused_blocks,
     gate_picks,
+    overlap_columns,
     pull_back,
     rotations,
+    score_rows,
     split_triples,
     _ring_permutation,
 )
 # perfbench/run.py traces encode_rows and both kernels through this
 # module's namespace; the gradient itself calls none of them
-from .encoding import encode_rows, row_norms  # noqa: F401
+from .encoding import check_rows, encode_rows  # noqa: F401
 from .errors import NumericError
 from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
 from .train import bce_prob_gradient, bce_rows, check_batch, mean_loss
@@ -162,15 +163,15 @@ def batch_loss(model: HQCGModel, signals, labels) -> float:
 def loss_and_gradients(model: HQCGModel, signals, labels):
     """(mean batch BCE, exact gradient w.r.t. every model parameter)."""
     signals, labels = check_batch(model, signals, labels)
+    check_rows(signals, model.num_qubits)
     # every gate matrix, class column and derivative in one closed-form call
     mats, dmats = rotations(model.theta.reshape(-1, 3))
     chains, unitaries, cols = fused_blocks(model, mats)
     *layer_dmats, class_dmats = split_triples(model, dmats)
 
-    norms = row_norms(signals, model.num_qubits)
     states, products = class_state_trace(cols)
     beta, pulled = pull_back(model, states, unitaries)
-    overlaps = conj_overlaps(signals, norms, pulled)  # [Re | Im] of conj(a_si)
+    overlaps, norms = score_rows(signals, overlap_columns(pulled, signals.shape[1]))
     probs = fidelities(overlaps)
     loss = mean_loss(bce_rows(probs, labels))
 

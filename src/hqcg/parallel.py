@@ -17,6 +17,11 @@ import numpy as np
 from .errors import ShapeError
 
 CHUNK_BYTES = 1 << 23
+PRODUCT_MACS = 10**6
+"""Multiply-adds (rows x length x 2C) per block of ``circuit.score_rows``: the
+largest product OpenBLAS 0.3.31 runs unpacked, by its small-matrix kernel, on
+an AVX-512 Xeon. On one BLAS thread, (2048x4096) @ (4096x8) took 12.7 ms as one
+call and 4.9 ms in 30-row blocks."""
 
 
 def thread_count() -> int:

@@ -102,6 +102,52 @@ def random_state_vector(rng, num_qubits: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _rotation(a: float, b: float, c: float) -> np.ndarray:
+    """Rz(c) @ Ry(b) @ Rz(a) as a product of the three explicit matrices."""
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+    ry = np.array([[math.cos(b / 2), -math.sin(b / 2)], [math.sin(b / 2), math.cos(b / 2)]])
+    return rz(c) @ ry @ rz(a)
+
+
+def _apply(states: np.ndarray, target: int, u: np.ndarray, control=None) -> np.ndarray:
+    """``u`` on qubit ``target`` of every (rows, 2^n) state, only where qubit
+    ``control`` is 1 if one is given, by explicit index pairs."""
+    idx = np.arange(states.shape[1])
+    keep = (idx >> target) & 1 == 0
+    if control is not None:
+        keep &= (idx >> control) & 1 == 1
+    lo = idx[keep]
+    hi = lo | (1 << target)
+    out = states.copy()
+    out[:, lo] = u[0, 0] * states[:, lo] + u[0, 1] * states[:, hi]
+    out[:, hi] = u[1, 0] * states[:, lo] + u[1, 1] * states[:, hi]
+    return out
+
+
+def forward_oracle(model, signals) -> np.ndarray:
+    """The (rows, C) class fidelities of an HQCG model, simulated gate by
+    gate: each signal normalised by ``np.linalg.norm`` and zero-padded, each
+    controlled rotation applied in circuit order, and each class state built
+    from |0...0> by its rotations and the CNOT ring."""
+    n, theta = model.num_qubits, model.theta
+    signals = np.asarray(signals, dtype=np.float64)
+    psi = np.zeros((len(signals), 1 << n), dtype=complex)
+    psi[:, : signals.shape[1]] = signals / np.linalg.norm(signals, axis=1)[:, None]
+    for gate in model.lqcg.gates + model.gqcg.gates:
+        psi = _apply(psi, gate.target, _rotation(*theta[list(gate.param_slot)]), gate.control)
+    phi = np.zeros((model.num_classes, 1 << n), dtype=complex)
+    phi[:, 0] = 1.0
+    not_gate = np.array([[0, 1], [1, 0]], dtype=complex)
+    for c in range(model.num_classes):
+        for q in range(n):
+            start = model.class_params_offset + 3 * (c * n + q)
+            phi[c : c + 1] = _apply(phi[c : c + 1], q, _rotation(*theta[start : start + 3]))
+        for k in range(n if n > 1 else 0):
+            phi[c : c + 1] = _apply(phi[c : c + 1], (k + 1) % n, not_gate, k)
+    return np.abs(psi @ phi.conj().T) ** 2
+
+
 def reference_adamw(theta, grads, m1, m2, t, lr, beta1, beta2, eps, weight_decay):
     """Element-by-element decoupled-Adam update, coded independently."""
     new_theta = np.empty(len(theta))

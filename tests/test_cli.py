@@ -330,6 +330,29 @@ def test_predict_csv_bytes_match_golden_digest(tmp_path):
         "49c20942998bc038c67e0b91c1427c6d618e37474b9bb253a5f4d37ee2b5461b"
 
 
+def test_predict_prints_non_ascii_ids_under_an_ascii_locale(tmp_path):
+    # score lines are UTF-8, as the dataset is, whatever the locale: under
+    # LC_ALL=C without UTF-8 mode printing the id used to raise a bare
+    # UnicodeEncodeError (exit 1)
+    import numpy as np
+    from hqcg import Dataset, Sample, SyntheticSpec, save_dataset
+    data_dir = tmp_path / "data"
+    save_dataset(Dataset([Sample("caf\u00e9", np.array([1.0, -2.0]), np.array([0]))], 1, 2),
+                 data_dir, SyntheticSpec(num_classes=1, signal_len=2, num_samples=1))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "kind": "classical", "layer_widths": [2, 2, 2, 1], "num_classes": 1,
+        "signal_len": 2, "theta": [0.0] * mlp_param_count([2, 2, 2, 1])}))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUTF8", None)
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "hqcg.cli", "predict",
+                           "--model-path", str(model), "--data", str(data_dir)],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout.decode("utf-8") == "caf\u00e9  class0=0.5000\n"
+
+
 def test_predict_empty_dataset_warns_and_exits_0(tmp_path, capsys):
     data_dir = _synth(tmp_path)
     _, out_dir = _train(tmp_path, data_dir)

@@ -2,7 +2,9 @@
 
 import itertools
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import hqcg.grad
 import hqcg.qstate
 from hqcg import (
     ConfigError,
+    EncodingError,
     NumericError,
     ShapeError,
     Statevector,
@@ -28,6 +31,8 @@ from hqcg.qstate import Controlled, Single, apply_gate, inner_product
 from oracles import P1, circuit_matrix, finite_diff_oracle, gate_matrix, \
     random_state_vector, site_matrix
 from hqcg.train import PROB_FLOOR
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _random_batch(rng, model, batch, length):
@@ -344,13 +349,18 @@ def test_class_gradients_match_dense_derivative(n):
         assert abs(got[c, q, j] - want) <= 1e-13 * abs(want), (c, q, j)
 
 
-@pytest.mark.parametrize("n, g, classes", [(8, 4, 4), (12, 4, 4), (8, 4, 3)])
-def test_step_scores_and_loss_are_the_forward_pass_bit_for_bit(n, g, classes, monkeypatch):
+# 61 rows of 4096 values score in product blocks of 30, 30 and 1 rows
+@pytest.mark.parametrize("n, g, classes, batch, length",
+                         [(8, 4, 4, 17, 100), (12, 4, 4, 17, 100), (8, 4, 3, 17, 100),
+                          (12, 4, 4, 61, 4096)],
+                         ids=["8-4-4", "12-4-4", "8-4-3", "12-4-4-61x4096"])
+def test_step_scores_and_loss_are_the_forward_pass_bit_for_bit(n, g, classes, batch, length,
+                                                               monkeypatch):
     # one forward path: the step's loss is batch_loss and the scores it
     # takes the loss of are forward_batch's, to the last bit
     rng = np.random.default_rng(29 + n + classes)
     model = build_model(n, g, classes, seed=n * classes)
-    signals, labels = _random_batch(rng, model, 17, 100)
+    signals, labels = _random_batch(rng, model, batch, length)
     seen, bce_rows = [], hqcg.grad.bce_rows
 
     def recording(probs, labels):
@@ -363,6 +373,55 @@ def test_step_scores_and_loss_are_the_forward_pass_bit_for_bit(n, g, classes, mo
     assert len(seen) == 1
     assert seen[0].tobytes() == forward_batch(model, signals).tobytes()
     assert np.float64(loss).tobytes() == np.float64(batch_loss(model, signals, labels)).tobytes()
+
+
+# 600 rows of 4096 values: row 44 lies in the second 30-row product block
+# of the first 256-row chunk, row 300 in the second chunk
+@pytest.mark.parametrize("row", [44, 300])
+@pytest.mark.parametrize("value, message", [(np.nan, "contains NaN or Inf"),
+                                            (np.inf, "contains NaN or Inf"),
+                                            (0.0, "is all-zero")], ids=["nan", "inf", "zero"])
+def test_bad_signal_rows_are_named_by_their_batch_row(row, value, message):
+    rng = np.random.default_rng(31)
+    model = build_model(12, 4, 4, seed=5)
+    signals, labels = _random_batch(rng, model, 600, 4096)
+    if value == 0.0:
+        signals[row] = 0.0
+    else:
+        signals[row, 7] = value
+    with pytest.raises(EncodingError, match=f"signal row {row} {message}"):
+        forward_batch(model, signals)
+    with pytest.raises(EncodingError, match=f"signal row {row} {message}"):
+        loss_and_gradients(model, signals, labels)
+
+
+_THREAD_RUN = """
+import hashlib
+import numpy as np
+from hqcg import build_model, forward_batch, loss_and_gradients
+for n, g, classes, length, batch in [(8, 4, 4, 256, 64), (12, 4, 4, 4096, 64)]:
+    rng = np.random.default_rng(n)
+    model = build_model(n, g, classes, seed=n)
+    signals = rng.normal(size=(batch, length))
+    labels = (rng.random((batch, classes)) < 0.5).astype(float)
+    loss, grads = loss_and_gradients(model, signals, labels)
+    for name, value in [("scores", forward_batch(model, signals)),
+                        ("loss", np.float64(loss)), ("gradient", grads)]:
+        print(n, name, hashlib.sha256(value.tobytes()).hexdigest())
+"""
+
+
+def test_scores_loss_and_gradient_bytes_do_not_depend_on_blas_threads():
+    # at L=4096 the 64 rows span three product blocks
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 # calls made from hqcg frames in one (8, 4, 4) step of 64 rows: 348 before
