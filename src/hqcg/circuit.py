@@ -29,7 +29,8 @@ fidelities |<psi|phi_i>|^2, computable either directly or through the
 ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``), all C
 classes in one (batch, 2C) array of overlaps (``score_rows``), which
-takes the overlaps and norms of each block of rows while it is in cache.
+takes the overlaps and norms of each block of rows while it is in cache,
+over the whole batch on the calling thread.
 
 Every scoring and gradient call builds its gates, fused blocks and class
 columns once, in ``fused_blocks``; the functions below apply what they are
@@ -44,10 +45,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# perfbench/run.py traces encode_rows through this module's namespace
-from .encoding import check_rows, checked_norms, encode_rows, row_norms  # noqa: F401
-from .errors import CapacityError, ConfigError, EncodingError, ShapeError, check_seed
-from .parallel import PRODUCT_MACS, map_rows
+# perfbench/run.py traces encode_rows and map_rows through this namespace
+from .encoding import check_rows, checked_norms, encode_rows  # noqa: F401
+from .errors import CapacityError, ConfigError, ShapeError, check_seed
+from .parallel import PRODUCT_MACS, map_rows  # noqa: F401
 # perfbench/run.py also traces apply_controlled_matrix through this
 # module's namespace; only the swap test runs qstate kernels here
 from .qstate import (  # noqa: F401
@@ -491,27 +492,16 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
 
     The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
     |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
-    the circuit once per call; each ``map_rows`` chunk of rows is then
-    scored by ``score_rows`` in blocks small enough for OpenBLAS's unpacked
-    kernel (``parallel.PRODUCT_MACS``), each read once for overlaps and norm.
-    A batch of at most 8 MiB of signal is one chunk, scored on the calling
-    thread. No per-sample state is built.
+    the circuit once per call; the whole batch is then scored on the calling
+    thread by one ``score_rows`` pass, in blocks small enough for OpenBLAS's
+    unpacked kernel (``parallel.PRODUCT_MACS``), each read once for overlaps
+    and norm. No per-sample state is built.
     """
     signals, _ = check_batch(model, signals)
     check_rows(signals, model.num_qubits)
     _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
     pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
-    columns = overlap_columns(pulled, signals.shape[1])
-
-    def probs_chunk(chunk):
-        return fidelities(score_rows(chunk, columns)[0])
-
-    try:
-        return map_rows(probs_chunk, signals)
-    except EncodingError:
-        # a chunk names its own row: the batch's norms name the batch row
-        row_norms(signals, model.num_qubits)
-        raise
+    return fidelities(score_rows(signals, overlap_columns(pulled, signals.shape[1]))[0])
 
 
 def forward(model: HQCGModel, signal) -> np.ndarray:

@@ -6,8 +6,8 @@ decimal floats written with 17 significant digits so the round trip is
 exact. A sidecar ``manifest.json`` records num_classes, signal_len,
 num_samples, seed, and the full generation spec. ``save_dataset`` refuses,
 before it writes anything, a dataset that ``load_dataset`` would reject:
-non-finite or misshapen values, misshapen labels, ids holding a comma or
-line break, or no samples, classes or values.
+non-finite or misshapen values, misshapen labels or labels other than 0
+and 1, ids holding a comma or line break, or no samples, classes or values.
 
 Each synthetic class owns a contiguous voxel block carrying a smooth
 half-cosine bump; a sample is the sum of its active class bumps plus iid
@@ -214,6 +214,9 @@ def _check_savable(dataset: Dataset) -> None:
             raise DataFormatError(
                 f"sample {s.id!r}: labels have shape {np.shape(s.labels)}, "
                 f"expected ({dataset.num_classes},)")
+        # the CSV keeps the indices of nonzero labels, so any other value would change
+        if not np.isin(s.labels, (0, 1)).all():
+            raise DataFormatError(f"sample {s.id!r}: labels must be 0 or 1")
         if not np.isfinite(s.values).all():
             raise DataFormatError(f"sample {s.id!r}: NaN or Inf signal value")
 

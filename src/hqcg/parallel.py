@@ -1,10 +1,12 @@
-"""Deterministic chunk-parallel evaluation.
+"""The row-block budget of scoring, and a deterministic chunk pool that no
+library code calls: scoring runs one row-block pass per batch on the
+calling thread. perfbench/run.py still imports this module, reads
+``thread_count`` and wraps ``circuit.map_rows``, so the pool stays for it.
 
-Rows are split into chunks of at most CHUNK_BYTES (8 MiB) each, and
-results are reassembled in submission order, so the output is bitwise
-independent of the worker count. A batch that fits one chunk runs on the
-calling thread; only two or more chunks start a pool, of up to four of
-the CPUs the process may run on.
+``map_rows`` splits rows into chunks of at most CHUNK_BYTES (8 MiB) and
+reassembles the results in order, so the output is bitwise independent of
+the worker count; two or more chunks start a pool of up to four of the
+CPUs the process may run on.
 """
 
 from __future__ import annotations

@@ -211,12 +211,17 @@ def _one_sample(sid="x0", values=(0.5, -1.0, 2.0), labels=(0, 1)):
     (_one_sample(values=[[0.5, -1.0, 2.0]]), "values have shape"),
     (_one_sample(labels=(1,)), "labels have shape"),
     (_one_sample(labels=(0, 1, 0)), "labels have shape"),
+    (_one_sample(labels=(0, 2)), "labels must be 0 or 1"),
+    (_one_sample(labels=(1, -1)), "labels must be 0 or 1"),
+    (_one_sample(labels=(0.5, 0)), "labels must be 0 or 1"),
+    (_one_sample(labels=(np.nan, 1)), "labels must be 0 or 1"),
     (_one_sample(sid="x,0"), "id must not hold"),
     (_one_sample(sid="x\n0"), "id must not hold"),
     (_one_sample(sid="x\r0"), "id must not hold"),
     (_one_sample(sid="x\u20280"), "id must not hold"),
 ], ids=["nan", "inf", "short", "long", "2d", "labels-short", "labels-long",
-        "id-comma", "id-newline", "id-return", "id-line-separator"])
+        "label-two", "label-minus-one", "label-half", "label-nan", "id-comma",
+        "id-newline", "id-return", "id-line-separator"])
 def test_save_refuses_what_load_rejects(tmp_path, sample, message):
     ds = Dataset([_one_sample("ok"), sample], num_classes=2, signal_len=3)
     match = re.escape(f"sample {sample.id!r}: {message}")

@@ -10,9 +10,10 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "hqcg"
 
 # perfbench/run.py wraps these module attributes to bind its
-# encoding.encode_rows and qstate.kernel spans; the modules never call them.
+# encoding.encode_rows and qstate.kernel spans, and its (circuit, "map_rows")
+# wrapper binds the parallel.map_rows span; the modules never call them.
 PATCHED_REEXPORTS = {
-    "circuit.py": {"encode_rows", "apply_controlled_matrix"},
+    "circuit.py": {"encode_rows", "apply_controlled_matrix", "map_rows"},
     "grad.py": {"encode_rows", "apply_controlled_matrix", "apply_single_matrix"},
 }
 

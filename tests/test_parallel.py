@@ -75,7 +75,7 @@ def test_chunks_split_by_bytes():
 
 def test_sub_budget_batch_runs_on_calling_thread(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a batch under one chunk started a pool")
+        raise AssertionError("forward_batch started a pool")
 
     monkeypatch.setattr(hqcg.parallel, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 4)
@@ -83,6 +83,11 @@ def test_sub_budget_batch_runs_on_calling_thread(monkeypatch):
     signals = np.random.default_rng(1).normal(size=(2000, 256))
     probs = forward_batch(model, signals)
     assert probs.shape == (2000, 3)
+    # four 8 MiB chunks' worth of rows: scored in one pass all the same
+    model = build_model(12, 4, 3, seed=3)
+    signals = np.random.default_rng(2).normal(size=(3 * 256 + 17, 4096))
+    probs = forward_batch(model, signals)
+    assert probs.shape == (3 * 256 + 17, 3)
 
 
 def test_map_rows_output_independent_of_workers(monkeypatch):
@@ -97,19 +102,3 @@ def test_map_rows_output_independent_of_workers(monkeypatch):
     pooled = map_rows(fn, rows, threads=4)
     assert made == [4]
     assert single.tobytes() == pooled.tobytes()
-
-
-def test_thread_count_reaches_forward_batch(monkeypatch):
-    made = _count_pools(monkeypatch)
-    model = build_model(8, 4, 3, seed=3)
-    # two full chunks of 256-value rows and a 9-row tail
-    rows = 2 * (CHUNK_BYTES // (256 * 8)) + 9
-    signals = np.random.default_rng(1).normal(size=(rows, 256))
-    monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 1)
-    a = forward_batch(model, signals)
-    assert made == []
-    monkeypatch.setattr(hqcg.parallel, "thread_count", lambda: 4)
-    b = forward_batch(model, signals)
-    assert made == [4]
-    assert a.tobytes() == b.tobytes()
-
