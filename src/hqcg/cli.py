@@ -114,11 +114,15 @@ def _check_compatible(doc: dict, dataset: Dataset) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        lr_max=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-        weight_decay=args.weight_decay, seed=args.seed,
-        eval_every=args.eval_every,
-    )
+    return TrainConfig(lr_max=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                       weight_decay=args.weight_decay, seed=args.seed)
+
+
+def _split(dataset: Dataset, val_fraction: float, seed: int, source: str):
+    """(train, val) with ``val_fraction`` of ``dataset`` held out."""
+    if not 0 < val_fraction < 1:  # named as read, not as the train fraction
+        raise ConfigError(f"{source} must be in (0, 1), got {val_fraction}")
+    return split(dataset, 1.0 - val_fraction, seed)
 
 
 def _build_quantum(args, dataset: Dataset):
@@ -159,7 +163,7 @@ def _run_training(args, dataset, kind, built, out_dir: Path):
     and write its checkpoint, metrics and curves into ``out_dir``."""
     model, loss_grad_fn, predict_fn, meta = built
     cfg = _train_config(args)
-    train_set, val_set = split(dataset, 1.0 - args.val_fraction, args.seed)
+    train_set, val_set = _split(dataset, args.val_fraction, args.seed, "--val-fraction")
     model, report = train_loop(model, train_set.samples, val_set.samples,
                                cfg, loss_grad_fn, predict_fn)
     meta.update({
@@ -222,8 +226,9 @@ def cmd_eval(args) -> int:
     if args.split == "all":
         samples = dataset.samples
     else:
-        fraction = _require(doc, "val_fraction", float)
-        train_set, val_set = split(dataset, 1.0 - fraction, _require(doc, "seed", int))
+        train_set, val_set = _split(dataset, _require(doc, "val_fraction", float),
+                                    _require(doc, "seed", int),
+                                    "checkpoint field 'val_fraction'")
         samples = (train_set if args.split == "train" else val_set).samples
     signals, labels, _ = stack_samples(samples)
     metrics = evaluate(model, signals, labels, predict_fn)
@@ -339,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch-size", type=int, default=64)
         p.add_argument("--weight-decay", type=float, default=0.0)
         p.add_argument("--val-fraction", type=float, default=0.2)
-        p.add_argument("--eval-every", type=int, default=1)
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train one model and write a checkpoint")

@@ -34,6 +34,9 @@ from .errors import ConfigError, DataFormatError, EmptyDatasetError, ShapeError,
 
 CSV_NAME = "dataset.csv"
 MANIFEST_NAME = "manifest.json"
+# a sample is redrawn until some class fires, about 1/label_density draws of
+# some 3 us each: about 3 ms a sample at this bound, and at 1e-300 no end
+MIN_LABEL_DENSITY = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +102,9 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sigma must be finite, got {self.noise_sigma}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 0 < self.label_density <= self.num_classes:
-            raise ConfigError(
-                f"label_density must be in (0, num_classes], got {self.label_density}"
-            )
+        if not MIN_LABEL_DENSITY <= self.label_density <= self.num_classes:
+            raise ConfigError(f"label_density must be in [{MIN_LABEL_DENSITY}, "
+                              f"num_classes], got {self.label_density}")
 
 
 def class_templates(spec: SyntheticSpec) -> np.ndarray:

@@ -57,19 +57,13 @@ def checked_norms(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(squares)
 
 
-@np.errstate(over="ignore")  # checked_norms refuses a norm that overflows
-def row_norms(signals: np.ndarray, num_qubits: int) -> np.ndarray:
-    """L2 norm of every row of a (batch, length) matrix, once the rows are
-    known to fit ``num_qubits`` and to be encodable."""
-    signals = np.asarray(signals, dtype=np.float64)
-    check_rows(signals, num_qubits)
-    return checked_norms(np.vecdot(signals, signals))
-
-
 def encode_rows(signals: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Encode a (batch, length) matrix into raw (batch, 2^n) amplitudes."""
+    """Encode a (batch, length) matrix into raw (batch, 2^n) amplitudes, once
+    its rows are known to fit ``num_qubits`` and to be encodable."""
     sig = np.asarray(signals, dtype=np.float64)
-    norms = row_norms(sig, num_qubits)
+    check_rows(sig, num_qubits)
+    with np.errstate(over="ignore"):  # checked_norms refuses a norm that overflows
+        norms = checked_norms(np.vecdot(sig, sig))
     amps = np.zeros((sig.shape[0], 1 << num_qubits), dtype=np.complex128)
     amps[:, : sig.shape[1]] = sig / norms[:, None]
     return amps

@@ -1,7 +1,7 @@
-"""The row-block budget of scoring, and a deterministic chunk pool that no
-library code calls: scoring runs one row-block pass per batch on the
-calling thread. perfbench/run.py still imports this module, reads
-``thread_count`` and wraps ``circuit.map_rows``, so the pool stays for it.
+"""A deterministic chunk pool that no library code calls: scoring runs one
+row-block pass per batch on the calling thread (``circuit.score_rows``).
+perfbench/run.py still imports this module, reads ``thread_count`` and
+wraps ``circuit.map_rows``, so the pool stays for it alone.
 
 ``map_rows`` splits rows into chunks of at most CHUNK_BYTES (8 MiB) and
 reassembles the results in order, so the output is bitwise independent of
@@ -19,11 +19,6 @@ import numpy as np
 from .errors import ShapeError
 
 CHUNK_BYTES = 1 << 23
-PRODUCT_MACS = 10**6
-"""Multiply-adds (rows x length x 2C) per block of ``circuit.score_rows``: the
-largest product OpenBLAS 0.3.31 runs unpacked, by its small-matrix kernel, on
-an AVX-512 Xeon. On one BLAS thread, (2048x4096) @ (4096x8) took 12.7 ms as one
-call and 4.9 ms in 30-row blocks."""
 
 
 def thread_count() -> int:

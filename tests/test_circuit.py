@@ -25,11 +25,10 @@ from hqcg import (
     swap_test_fidelity,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, chain_blocks, class_state_trace, \
-    fused_blocks, rotation_matrices, rotations, split_triples
+from hqcg.circuit import PRODUCT_MACS, apply_param_circuit, chain_blocks, \
+    class_state_trace, fused_blocks, rotation_matrices, rotations, split_triples
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
-from hqcg.parallel import CHUNK_BYTES, PRODUCT_MACS
 from oracles import circuit_matrix, forward_oracle, qubit_purity, random_state_vector
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -314,18 +313,21 @@ def test_forward_batch_matches_single_forward():
 
 
 def test_forward_batch_matches_oracle_at_every_block_and_chunk_edge():
-    # 600 rows of 4096 values: 256-row chunks, each scored in 30-row blocks,
-    # so edges fall inside and between chunks and a chunk ends in a short block
+    # 600 rows of 4096 values, scored in 30-row blocks; the rows checked are
+    # the edges of those blocks and, as a pool once split the batch, of the
+    # 30-row blocks of each 256-row chunk, where a chunk ended in a short block
     rng = np.random.default_rng(12)
     model = build_model(12, 4, 4, seed=12)
     signals = rng.normal(size=(600, 4096))
-    chunk = CHUNK_BYTES // signals[0].nbytes
     block = PRODUCT_MACS // (signals.shape[1] * 2 * model.num_classes)
-    assert (chunk, block) == (256, 30)
-    starts = [c + b for c in range(0, 600, chunk) for b in range(0, min(chunk, 600 - c), block)]
-    ends = starts[1:] + [600]
-    rows = sorted({r for start, end in zip(starts, ends) for r in (start, end - 1)})
-    assert {0, 29, 30, 239, 240, 255, 256, 285, 511, 512, 599} <= set(rows)
+    assert block == 30
+
+    def edges(starts):
+        return {r for start, end in zip(starts, starts[1:] + [600]) for r in (start, end - 1)}
+
+    chunked = [c + b for c in range(0, 600, 256) for b in range(0, min(256, 600 - c), block)]
+    rows = sorted(edges(list(range(0, 600, block))) | edges(chunked))
+    assert {0, 29, 30, 239, 240, 255, 256, 269, 270, 285, 511, 512, 599} <= set(rows)
     probs = forward_batch(model, signals)
     np.testing.assert_allclose(probs[rows], forward_oracle(model, signals[rows]), atol=1e-9)
 

@@ -610,6 +610,45 @@ def test_non_positive_hidden_exits_2_before_training(trained, tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("fraction", ["1.5", "0"])
+def test_out_of_range_val_fraction_is_named_as_given(trained, tmp_path, capsys,
+                                                     command, fraction):
+    # split takes the train fraction; the message names the one the user gave
+    argv = [command, "--data", str(trained[0]), "--out", str(tmp_path / "r")] \
+        + SMALL_TRAIN + ["--val-fraction", fraction]
+    assert main(argv) == 2
+    _error_line(capsys.readouterr().err,
+                f"--val-fraction must be in (0, 1), got {float(fraction)}")
+
+
+def test_eval_out_of_range_checkpoint_val_fraction_names_the_field(trained, tmp_path,
+                                                                  capsys):
+    data_dir, docs = trained
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(dict(docs["quantum"], val_fraction=1.5)))
+    assert main(["eval", "--model-path", str(bad), "--data", str(data_dir),
+                 "--out", str(tmp_path / "e")]) == 2
+    _error_line(capsys.readouterr().err,
+                "checkpoint field 'val_fraction' must be in (0, 1), got 1.5")
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_eval_every_is_refused(trained, tmp_path, capsys, command, how):
+    """Every epoch is evaluated; no setting changes that."""
+    argv = [command, "--data", str(trained[0]), "--out", str(tmp_path / "r")] \
+        + SMALL_TRAIN
+    if how == "flag":
+        assert main(argv + ["--eval-every", "2"]) == 2
+        assert "unrecognized arguments: --eval-every 2" in capsys.readouterr().err
+    else:
+        assert _config_run(tmp_path, argv, {"eval_every": 2}) == 2
+        _error_line(capsys.readouterr().err, "config file sets unknown option 'eval_every'")
+    assert not (tmp_path / "r").exists()
+
+
 def test_inspect_above_qubit_cap_exits_2(capsys):
     assert main(["inspect", "--qubits", "27", "--group-size", "3"]) == 2
     _error_line(capsys.readouterr().err, "qubit count 27 is above the 26-qubit cap")

@@ -60,8 +60,10 @@ def test_spec_validation():
         _spec(region_size=20)  # 4 * 20 > 64
     with pytest.raises(ConfigError):
         _spec(noise_sigma=-1.0)
-    with pytest.raises(ConfigError):
-        _spec(label_density=0.0)
+    # below 1e-3 a sample takes over a thousand draws to get a label
+    for density in (0.0, 5e-4, 1e-300):
+        with pytest.raises(ConfigError, match=r"label_density must be in \[0.001, "):
+            _spec(label_density=density)
 
 
 def test_region_size_default_covers_half_signal():

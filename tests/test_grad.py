@@ -375,8 +375,8 @@ def test_step_scores_and_loss_are_the_forward_pass_bit_for_bit(n, g, classes, ba
     assert np.float64(loss).tobytes() == np.float64(batch_loss(model, signals, labels)).tobytes()
 
 
-# 600 rows of 4096 values: row 44 lies in the second 30-row product block
-# of the first 256-row chunk, row 300 in the second chunk
+# 600 rows of 4096 values, scored in 30-row product blocks: row 44 lies
+# inside the second block, and row 300 starts the eleventh
 @pytest.mark.parametrize("row", [44, 300])
 @pytest.mark.parametrize("value, message", [(np.nan, "contains NaN or Inf"),
                                             (np.inf, "contains NaN or Inf"),
