@@ -32,9 +32,13 @@ classes in one (batch, 2C) array of overlaps (``score_rows``), which
 takes the overlaps and norms of each block of rows while it is in cache,
 over the whole batch on the calling thread.
 
-Every scoring and gradient call builds its gates, fused blocks and class
-columns once, in ``fused_blocks``; the functions below apply what they are
-given and rebuild nothing from ``theta``.
+Every gradient call, and every scoring call that misses the memo below,
+builds its gates, fused blocks and class columns once, in ``fused_blocks``;
+the functions below apply what they are given and rebuild nothing from
+``theta``. The pulled-back scoring matrix depends only on the layers, the
+class count, ``theta`` and the signal length, so ``scoring_columns`` keeps
+the last one built, read-only, and ``forward_batch`` reuses it for as long
+as that key holds.
 """
 
 from __future__ import annotations
@@ -494,21 +498,39 @@ def fidelities(overlaps: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
+@lru_cache(maxsize=1)
+def scoring_columns(lqcg: ParamCircuit, gqcg: ParamCircuit, num_classes: int,
+                    theta: bytes, length: int) -> np.ndarray:
+    """The read-only (length, 2C) ``overlap_columns`` of the class states of
+    the model with these layers, class count and float64 ``theta`` bytes,
+    pulled back through both layers. Only the last key asked for is kept, so
+    one parameter vector scoring batch after batch builds it once, and each
+    new ``theta`` replaces it rather than adding an entry."""
+    model = HQCGModel(lqcg.num_qubits, lqcg.width, num_classes, lqcg, gqcg,
+                      np.frombuffer(theta))
+    _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
+    pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
+    columns = overlap_columns(pulled, length)
+    columns.setflags(write=False)
+    return columns
+
+
 def forward_batch(model: HQCGModel, signals) -> np.ndarray:
     """Per-class fidelity scores for a (batch, length) signal matrix.
 
     The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
     |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
-    the circuit once per call; the whole batch is then scored on the calling
-    thread by one ``score_rows`` pass, in blocks small enough for OpenBLAS's
-    unpacked kernel (``PRODUCT_MACS``), each read once for overlaps
-    and norm. No per-sample state is built.
+    the circuit once per parameter vector and length (``scoring_columns``);
+    the whole batch is then scored on the calling thread by one
+    ``score_rows`` pass, in blocks small enough for OpenBLAS's unpacked
+    kernel (``PRODUCT_MACS``), each read once for overlaps and norm. No
+    per-sample state is built.
     """
     signals, _ = check_batch(model, signals)
     check_rows(signals, model.num_qubits)
-    _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
-    pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
-    return fidelities(score_rows(signals, overlap_columns(pulled, signals.shape[1]))[0])
+    columns = scoring_columns(model.lqcg, model.gqcg, model.num_classes,
+                              model.theta.tobytes(), signals.shape[1])
+    return fidelities(score_rows(signals, columns)[0])
 
 
 def forward(model: HQCGModel, signal) -> np.ndarray:

@@ -3,10 +3,10 @@
 Commands: synth, train, eval, predict, inspect, compare. Every command is
 a deterministic function of its flags and seed; reruns write byte-identical
 files. Exit codes: 0 success, 2 usage/config/data problems, 3 numeric
-failure during training or evaluation. A .lock file guards each output
-directory against concurrent writers (delete it if a crash leaves it
-behind). If --config names a JSON file, its entries override the
-corresponding flags.
+failure during training or evaluation. A .lock file, taken before a
+command does any work, guards each output directory against concurrent
+writers (delete it if a crash leaves it behind). If --config names a JSON
+file, its entries override the corresponding flags.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import os
 import reprlib
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -39,6 +39,10 @@ EXIT_NUMERIC = 3
 
 @contextmanager
 def _output_lock(out_dir: Path):
+    """Hold ``out_dir``'s lock file; taken before a command does any work, so
+    a directory in use is refused at once. A command that fails leaves none
+    of the directories made here behind, unless it wrote into them."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
     try:
@@ -51,8 +55,13 @@ def _output_lock(out_dir: Path):
     os.close(fd)
     try:
         yield
-    finally:
+    except BaseException:
         lock.unlink(missing_ok=True)
+        for d in made:  # deepest first; one that holds files stays
+            with suppress(OSError):
+                d.rmdir()
+        raise
+    lock.unlink(missing_ok=True)
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -199,9 +208,9 @@ def cmd_synth(args) -> int:
         region_size=args.region_size, template_gain=args.gain,
         noise_sigma=args.noise_sigma, label_density=args.label_density,
     )
-    dataset = generate_synthetic(spec)
     out = Path(args.out)
     with _output_lock(out):
+        dataset = generate_synthetic(spec)
         csv_path, manifest_path = save_dataset(dataset, out, spec)
     print(f"wrote {csv_path} and {manifest_path}")
     print(f"samples {len(dataset)}  classes {dataset.num_classes}  "
@@ -210,9 +219,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
     out = Path(args.out)
     with _output_lock(out):
+        dataset = load_dataset(args.data)
         built = _BUILDERS[args.model](args, dataset)
         _, report, meta, _ = _run_training(args, dataset, args.model, built, out)
     print(_final_line(args.model, report, meta))
@@ -220,24 +229,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kind, model, predict_fn, doc = load_model(args.model_path)
-    dataset = load_dataset(args.data)
-    _check_compatible(doc, dataset)
-    if args.split == "all":
-        samples = dataset.samples
-    else:
-        train_set, val_set = _split(dataset, _require(doc, "val_fraction", float),
-                                    _require(doc, "seed", int),
-                                    "checkpoint field 'val_fraction'")
-        samples = (train_set if args.split == "train" else val_set).samples
-    signals, labels, _ = stack_samples(samples)
-    metrics = evaluate(model, signals, labels, predict_fn)
-    print(f"split {args.split}  samples {len(samples)}")
-    print(f"loss {metrics.loss:.17g}")
-    print(f"accuracy {metrics.accuracy:.17g}")
-    print(f"auc {metrics.auc:.17g}")
     out = Path(args.out)
     with _output_lock(out):
+        kind, model, predict_fn, doc = load_model(args.model_path)
+        dataset = load_dataset(args.data)
+        _check_compatible(doc, dataset)
+        if args.split == "all":
+            samples = dataset.samples
+        else:
+            train_set, val_set = _split(dataset, _require(doc, "val_fraction", float),
+                                        _require(doc, "seed", int),
+                                        "checkpoint field 'val_fraction'")
+            samples = (train_set if args.split == "train" else val_set).samples
+        signals, labels, _ = stack_samples(samples)
+        metrics = evaluate(model, signals, labels, predict_fn)
+        print(f"split {args.split}  samples {len(samples)}")
+        print(f"loss {metrics.loss:.17g}")
+        print(f"accuracy {metrics.accuracy:.17g}")
+        print(f"auc {metrics.auc:.17g}")
         doc_out = {
             "split": args.split, "num_samples": len(samples),
             "loss": metrics.loss, "accuracy": metrics.accuracy,
@@ -260,7 +269,8 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--top must be in [1, {dataset.num_classes}], got {top}")
     signals, _, ids = stack_samples(dataset)
     probs = predict_fn(model, signals)
-    sys.stdout.reconfigure(encoding="utf-8")  # ids are UTF-8, as in the dataset file
+    if hasattr(sys.stdout, "reconfigure"):  # a file stream, not a redirect to memory
+        sys.stdout.reconfigure(encoding="utf-8")  # ids are UTF-8, as in the dataset file
     for sid, row in zip(ids, probs):
         order = np.argsort(-row, kind="stable")[:top]
         scores = "  ".join(f"class{c}={row[c]:.4f}" for c in order)
@@ -280,10 +290,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    dataset = load_dataset(args.data)
     out = Path(args.out)
     results = []
     with _output_lock(out):
+        dataset = load_dataset(args.data)
         # both models are built, so their flags are checked, before either trains
         built = {kind: build(args, dataset) for kind, build in _BUILDERS.items()}
         for kind, parts in built.items():

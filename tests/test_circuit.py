@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hqcg.circuit
 from hqcg import (
     MAX_QUBITS,
     CapacityError,
     ConfigError,
     HqcgError,
+    NumericError,
     ShapeError,
     Statevector,
     build_gqcg,
@@ -337,6 +339,75 @@ def test_forward_batch_rejects_non_matrix_input(shape):
     model = build_model(4, 2, 2, seed=0)
     with pytest.raises(HqcgError):
         forward_batch(model, np.ones(shape))
+
+
+def _scored_fresh(model, signals):
+    """``forward_batch`` on a memo emptied first, so the call must miss."""
+    hqcg.circuit.scoring_columns.cache_clear()
+    return forward_batch(model, signals)
+
+
+def test_scoring_memo_key_catches_every_change():
+    # a call that should hit leaves the miss count alone and gives the bytes
+    # a fresh build gives; a call that should miss adds one miss
+    rng = np.random.default_rng(26)
+    memo = hqcg.circuit.scoring_columns
+    model = build_model(8, 4, 4, seed=26)
+    signals = rng.normal(size=(9, 200))
+
+    def scored(model, signals, *, miss):
+        before = memo.cache_info().misses
+        probs = forward_batch(model, signals)
+        assert memo.cache_info().misses - before == int(miss)
+        assert probs.tobytes() == _scored_fresh(model, signals).tobytes()
+        return probs
+
+    memo.cache_clear()
+    first = scored(model, signals, miss=True)
+    scored(model, signals[:5], miss=False)  # another batch of the same length
+    model.theta[40] += 1e-3  # an edit in place
+    edited = scored(model, signals, miss=True)
+    assert not np.array_equal(edited, first)
+    model.theta = model.theta.copy()  # the same values in a new array
+    scored(model, signals, miss=False)
+    model.theta = model.theta + 1e-3
+    scored(model, signals, miss=True)
+    scored(model, signals[:, :150], miss=True)  # another length
+    # another geometry with the same theta bytes and length: 42 parameters each
+    small, wide = build_model(4, 2, 2, seed=1), build_model(6, 3, 1, seed=1)
+    wide.theta = small.theta.copy()
+    short = signals[:, :16]
+    scored(small, short, miss=True)
+    scored(wide, short, miss=True)
+
+
+def test_scoring_memo_hit_runs_no_layer_and_a_bad_theta_is_still_refused(monkeypatch):
+    layers, states = [], []
+
+    def recording(fn, log):
+        def wrapped(*args, **kwargs):
+            log.append(1)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    # by name in the module namespace, as perfbench/run.py patches its spans
+    monkeypatch.setattr(hqcg.circuit, "apply_param_circuit",
+                        recording(apply_param_circuit, layers))
+    monkeypatch.setattr(hqcg.circuit, "class_state_matrix",
+                        recording(hqcg.circuit.class_state_matrix, states))
+    model = build_model(8, 4, 4, seed=3)
+    signals = np.random.default_rng(3).normal(size=(64, 256))
+    miss = _scored_fresh(model, signals)
+    assert (len(layers), len(states)) == (2, 1)
+    hit = forward_batch(model, signals)
+    assert (len(layers), len(states)) == (2, 1)
+    assert hit.tobytes() == miss.tobytes()
+    columns = hqcg.circuit.scoring_columns(model.lqcg, model.gqcg, model.num_classes,
+                                           model.theta.tobytes(), 256)
+    assert columns.shape == (256, 8) and not columns.flags.writeable
+    model.theta[0] = np.nan
+    with pytest.raises(NumericError):
+        forward_batch(model, signals)
 
 
 # --- fidelity readouts --------------------------------------------------------------

@@ -1,16 +1,19 @@
 """CLI commands: file outputs, exit codes, determinism, error surfaces."""
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import hqcg.circuit
+import hqcg.cli
 import hqcg.grad
 from hqcg import ConfigError, ShapeError
 from hqcg.baseline import mlp_param_count
@@ -301,6 +304,20 @@ def test_predict_top_k(tmp_path, capsys):
     assert all(line.count("class") == 2 for line in lines)
 
 
+def test_predict_prints_into_a_redirected_stdout(trained, tmp_path):
+    # a stream without reconfigure, as a caller capturing the scores passes;
+    # it used to end in an AttributeError
+    data_dir, docs = trained
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(docs["quantum"]))
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(["predict", "--model-path", str(model), "--data", str(data_dir)])
+    assert code == 0
+    lines = buffer.getvalue().splitlines()
+    assert len(lines) == 60 and all(line.startswith("s0") for line in lines)
+
+
 def test_predict_csv_output(tmp_path):
     data_dir = _synth(tmp_path)
     _, out_dir = _train(tmp_path, data_dir)
@@ -436,6 +453,31 @@ def test_lock_file_blocks_concurrent_use(tmp_path, capsys):
     code = main(SMALL_SYNTH + ["--out", str(out)])
     assert code == 2
     assert "lock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "compare", "eval"])
+def test_locked_out_is_refused_before_any_work(trained, tmp_path, capsys, monkeypatch,
+                                               command):
+    data_dir, docs = trained
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started in a locked output directory")
+
+    for name in ("generate_synthetic", "load_dataset", "load_model"):
+        monkeypatch.setattr(hqcg.cli, name, unreachable)
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".lock").touch()
+    argv = {
+        "synth": SMALL_SYNTH,
+        "train": ["train", "--data", str(data_dir)] + SMALL_TRAIN,
+        "compare": ["compare", "--data", str(data_dir)] + SMALL_TRAIN,
+        "eval": ["eval", "--model-path", str(tmp_path / "model.json"),
+                 "--data", str(data_dir)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    _error_line(capsys.readouterr().err, "lock file")
+    assert sorted(p.name for p in out.iterdir()) == [".lock"]
 
 
 def test_compare_emits_table_and_both_runs(tmp_path, capsys):

@@ -278,12 +278,16 @@ def test_cached_tables_are_read_only():
     # so no array it returns may be writable
     cached = {name: fn for module in (hqcg.circuit, hqcg.grad, hqcg.qstate)
               for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
-    assert set(cached) == {"chain_axes", "_ring_permutation", "gate_picks"}
+    assert set(cached) == {"chain_axes", "_ring_permutation", "gate_picks",
+                           "scoring_columns"}
+    model = build_model(4, 2, 2, seed=0)
     results = [cached["chain_axes"](3),
                cached["_ring_permutation"](3), cached["_ring_permutation"](3, True),
-               *cached["gate_picks"](3)]
+               *cached["gate_picks"](3),
+               cached["scoring_columns"](model.lqcg, model.gqcg, model.num_classes,
+                                         model.theta.tobytes(), 16)]
     arrays = [r for r in results if isinstance(r, np.ndarray)]
-    assert len(arrays) == 4
+    assert len(arrays) == 5
     for table in arrays:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
@@ -296,7 +300,8 @@ def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
     # The batch is folded into one ket per class before any layer runs, and
     # each layer is a few fused block products: the gradient pulls back and
     # pushes forward through each layer once, the forward pass only pulls
-    # back, no qstate kernel runs, and no layer sees more than C rows.
+    # back, and only when its memo misses; no qstate kernel runs, and no
+    # layer sees more than C rows.
     layers, kernels = [], []
 
     def recording(fn, log):
@@ -322,9 +327,13 @@ def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
         assert len(layers) == 4, batch
         assert max(layers) <= model.num_classes, batch
         layers.clear()
+        hqcg.circuit.scoring_columns.cache_clear()
         forward_batch(model, signals)
         assert len(layers) == 2, batch
         assert max(layers) <= model.num_classes, batch
+        layers.clear()
+        forward_batch(model, signals)
+        assert layers == [], batch
     assert kernels == []
 
 

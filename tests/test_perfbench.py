@@ -34,9 +34,8 @@ def test_traced_mid_predict_run_records_layer_spans():
     metrics = _run("mid-predict", 1)["metrics"]
     for name in ("circuit.lqcg.s", "circuit.gqcg.s", "grad.forward.s"):
         assert metrics[name]["value"] > 0, name
-    # one class-state build per forward and one per gradient step: the
-    # forward's class_state_matrix span and the gradient's class_state_trace
-    # span both bind
-    calls = {name: metrics[f"circuit.{name}.calls"]["value"]
-             for name in ("class_states", "forward_batch")}
-    assert calls["class_states"] > calls["forward_batch"], calls
+    # the traced round trains one epoch of two 64-row steps, and each step
+    # builds its class states once: the gradient's class_state_trace span
+    # binds. A forward call builds them only when its memo misses, so the
+    # forward's class_state_matrix binding is checked in tests/test_circuit.py.
+    assert metrics["circuit.class_states.calls"]["value"] >= 2, metrics
