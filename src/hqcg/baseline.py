@@ -47,9 +47,13 @@ class MLPModel:
     def __post_init__(self):
         _check_widths(self.layer_widths)
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        want = mlp_param_count(self.layer_widths)
-        if self.theta.shape != (want,):
-            raise ShapeError(f"theta must have length {want}, got {self.theta.shape}")
+        if self.theta.shape != (self.num_params,):
+            raise ShapeError(f"theta must have length {self.num_params}, "
+                             f"got {self.theta.shape}")
+
+    @property
+    def num_params(self) -> int:
+        return mlp_param_count(self.layer_widths)
 
     @property
     def num_classes(self) -> int:

@@ -18,15 +18,16 @@ Each layer is built as that stack of fused block unitaries, each the
 entrywise product of one table per gate (``chain_blocks``), and applied
 one dense block product at a time
 (``apply_param_circuit(amps, circuit, unitaries)``); no gate runs alone.
-Each circuit keeps the ``Layout`` its sweeps read (``ParamCircuit.layout``);
-an LQCG layer's blocks lie in natural qubit order, so it needs no transpose.
+Every layer, and its gradient (``block_environments``, ``block_gradients``),
+reads the amplitudes through the ``Layout`` kept on it (``ParamCircuit.layout``);
+for LQCG, whose blocks lie in qubit order, that layout moves no data.
 
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring; the ring only permutes basis
 states, so they are built as permuted Kronecker products of single-qubit
-columns (``class_state_trace(cols)``). Class scores are state
-fidelities |<psi|phi_i>|^2, computable either directly or through the
-ancilla swap test. The batched forward pass scores signals against the
+columns (``class_state_trace(cols)``), differentiated by ``class_gradients``.
+Class scores are state fidelities |<psi|phi_i>|^2, computable either
+directly or through the ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``), all C
 classes in one (batch, 2C) array of overlaps (``score_rows``), which
 takes the overlaps and norms of each block of rows while it is in cache,
@@ -78,7 +79,7 @@ for _table in (_HALF, _EYE):
 
 def _rz_ry_rz(cos, sin, phases) -> np.ndarray:
     """Rz(c) @ [[cos, -sin], [sin, cos]] @ Rz(a), entry by entry, as (..., 2, 2),
-    from the ``_euler_parts`` phases of a and c.
+    from the phases (e^{-ia/2}, e^{-ic/2}, e^{ia/2}, e^{ic/2}) of a and c.
     Each entry takes the Rz(c) phase, then the Rz(a) phase, in the order of
     the matrix product, so it rounds as that product does."""
     ea, ec, eac, ecc = phases
@@ -90,29 +91,18 @@ def _rz_ry_rz(cos, sin, phases) -> np.ndarray:
     return u
 
 
-def _euler_parts(angles):
-    """cos(b/2), sin(b/2) and the phases (e^{-ia/2}, e^{-ic/2}, e^{ia/2},
-    e^{ic/2}) of a (..., 3) block of (a, b, c) rows."""
-    angles = np.asarray(angles, dtype=np.float64)
-    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
-    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
-    return np.cos(0.5 * b), np.sin(0.5 * b), (ea, ec, ea.conj(), ec.conj())
-
-
-def rotation_matrices(angles) -> np.ndarray:
+def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
     """Rz(c) @ Ry(b) @ Rz(a) for every (a, b, c) row of a (..., 3) angle
     block, as a (..., 2, 2) stack in closed form:
     [[cos(b/2) e^{-i(a+c)/2}, -sin(b/2) e^{i(a-c)/2}],
-     [sin(b/2) e^{-i(a-c)/2},  cos(b/2) e^{i(a+c)/2}]]."""
-    return _rz_ry_rz(*_euler_parts(angles))
-
-
-def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
-    """``rotation_matrices`` of a (..., 3) angle block together with the
-    (..., 3, 2, 2) stack of their derivatives by a, b and c:
-    U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U, with the
+     [sin(b/2) e^{-i(a-c)/2},  cos(b/2) e^{i(a+c)/2}]],
+    together with the (..., 3, 2, 2) stack of their derivatives by a, b and
+    c: U diag(-i/2, i/2), Rz(c) Ry'(b) Rz(a) and diag(-i/2, i/2) U, with the
     phases of a and c computed once for both."""
-    cos, sin, phases = _euler_parts(angles)
+    angles = np.asarray(angles, dtype=np.float64)
+    a, b, c = angles[..., 0], angles[..., 1], angles[..., 2]
+    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
+    cos, sin, phases = np.cos(0.5 * b), np.sin(0.5 * b), (ea, ec, ea.conj(), ec.conj())
     u = _rz_ry_rz(cos, sin, phases)
     du = np.empty(u.shape[:-2] + (3, 2, 2), dtype=np.complex128)
     np.multiply(u, _HALF, out=du[..., 0, :, :])
@@ -120,6 +110,11 @@ def rotations(angles) -> tuple[np.ndarray, np.ndarray]:
     du[..., 1, :, :] = _rz_ry_rz(-0.5 * sin, 0.5 * cos, phases)
     np.multiply(_HALF[:, None], u, out=du[..., 2, :, :])
     return u, du
+
+
+def rotation_matrices(angles) -> np.ndarray:
+    """The (..., 2, 2) matrices of ``rotations``, without their derivatives."""
+    return rotations(angles)[0]
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ class ParamCircuit:
         outer = [q for q in reversed(range(n)) if q not in inner]
         into = (0, *(n - q for q in inner + outer))
         back = tuple(int(a) for a in np.argsort((0, *(n - q for q in outer + inner))))
-        return Layout((blocks, k), into, back, into == back == tuple(range(n + 1)),
+        return Layout((blocks, k), into, back,
                       tuple((-1, 1 << k, (1 << n) >> (k * (blocks - b)))
                             for b in range(blocks)))
 
@@ -190,14 +185,14 @@ class Layout(NamedTuple):
     (rows, 2, ..., 2) amplitude tensor, qubit q on axis n - q, with the
     blocks on top, the last block highest and each block's first qubit
     lowest; ``back`` restores the natural order from the other qubits on top
-    of the blocks, where ``apply_param_circuit`` leaves them. ``natural``:
-    both are the identity, as for every LQCG layer. ``views[b]`` shapes the
-    layer-ordered amplitudes as (rows and blocks above b, block b, rest)."""
+    of the blocks, where ``apply_param_circuit`` leaves them. ``views[b]``
+    shapes the layer-ordered amplitudes as (rows and blocks above b,
+    block b, rest). Both orders of an LQCG layer are the identity, so only
+    GQCG's first ``views`` reshape copies the amplitudes."""
 
     shape: tuple[int, int]  # (blocks, k), the shape of the layer's angle triples
     into: tuple[int, ...]
     back: tuple[int, ...]
-    natural: bool
     views: tuple[tuple[int, int, int], ...]
 
 
@@ -307,19 +302,61 @@ def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
 
     In the first order of the circuit's ``Layout`` the top block is one
     (2^k, 2^k) product on every row; the product leaves that block at the
-    bottom, so the next block comes on top. A natural layout skips both
-    transposes."""
+    bottom, so the next block comes on top."""
     # right factors: V^T, or conj(V) = (V^dagger)^T for the adjoint
     right = unitaries.conj() if adjoint else unitaries.swapaxes(-1, -2)
     layout = circuit.layout
     tensor = (-1,) + (2,) * circuit.num_qubits
-    x = amps if layout.natural else amps.reshape(tensor).transpose(layout.into)
-    x = x.reshape(layout.views[-1])
+    x = amps.reshape(tensor).transpose(layout.into).reshape(layout.views[-1])
     for v in right[::-1]:
         x = (x.swapaxes(1, 2) @ v).reshape(x.shape)
-    if not layout.natural:
-        x = x.reshape(tensor).transpose(layout.back)
-    return x.reshape(amps.shape)
+    return x.reshape(tensor).transpose(layout.back).reshape(amps.shape)
+
+
+def block_environments(bra: np.ndarray, ket: np.ndarray,
+                       circuit: ParamCircuit) -> np.ndarray:
+    """E_b[a, c] = sum conj(bra[block b = a]) ket[block b = c] over rows and
+    over the qubits outside block b, for every block of the layer, as a
+    (blocks, 2^k, 2^k) stack: <bra| I (x) X |ket> = sum_ac X[a, c] E_b[a, c]
+    for X on block b, with local qubit j of the block on bit j of a and c,
+    read through the circuit's ``Layout`` views."""
+    layout = circuit.layout
+    tensor = (-1,) + (2,) * circuit.num_qubits
+    bra = np.conjugate(bra.reshape(tensor).transpose(layout.into), order="C")
+    ket = ket.reshape(tensor).transpose(layout.into)
+    size = 1 << layout.shape[1]
+    envs = np.empty((layout.shape[0], size, size), complex)
+    for view, env in zip(layout.views, envs):
+        np.matmul(bra.reshape(view).transpose(1, 0, 2).reshape(size, -1),
+                  ket.reshape(view).transpose(0, 2, 1).reshape(-1, size), out=env)
+    return envs
+
+
+def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:
+    """Re tr(V_b^dagger dV_b E_b^T) by every angle of chain-with-skip blocks,
+    as a (blocks, k, 3) array, from the block environments E_b, the blocks'
+    ``chain_blocks`` and their (blocks, k, 3, 2, 2) derivative matrices.
+
+    The trace is sum_xy W[x, y] dV[x, y] with W = conj(V) E. An angle of
+    gate j moves only factor j of V = F_0 * ... * F_{k-1}, and only where
+    its control bit is 1, so it gives sum_oi dU_j[o, i] M_j[o, i], where
+    M_j is W times the other k-1 factors, summed by the ``gate_picks`` of
+    gate j. A sweep down the gates folds F_{k-1}, ..., F_{j+1} into W, and
+    a sweep up multiplies in F_0 * ... * F_{j-1}."""
+    unitaries, factors = chain
+    k = len(factors)
+    rows, cols = gate_picks(k)
+    rest = np.empty_like(factors)
+    np.matmul(unitaries.conj(), envs, out=rest[-1])
+    for j in range(k - 1, 0, -1):
+        np.multiply(rest[j], factors[j], out=rest[j - 1])
+    prefix = factors[0]
+    for j in range(1, k):
+        rest[j] *= prefix
+        if j < k - 1:
+            prefix = prefix * factors[j]
+    gate_envs = rows[:, None] @ rest @ cols[:, None]
+    return np.einsum("jboi,bjdoi->bjd", gate_envs, dmats).real
 
 
 # --- learnable class states ---------------------------------------------------
@@ -349,7 +386,7 @@ def class_state_trace(cols: np.ndarray):
     permutation of the Kronecker product of its n columns, qubit q on bit q,
     built as product_q = col_q (x) product_{q-1}. The partial products
     product_0, ..., product_{n-2} come back as a list of (C, 2^(q+1))
-    arrays, which ``grad.class_gradients`` reads in reverse. The ring
+    arrays, which ``class_gradients`` reads in reverse. The ring
     permutes the last product by a gather through its preimage.
     """
     classes, num_qubits = cols.shape[:2]
@@ -359,6 +396,26 @@ def class_state_trace(cols: np.ndarray):
                         .reshape(classes, -1))
     return (np.take(products.pop(), _ring_permutation(num_qubits, inverse=True), axis=1),
             products)
+
+
+def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
+                    dcols: np.ndarray) -> np.ndarray:
+    """Re <xi_i|d phi_i> by the b and c angles of every class column, as a
+    (C, n, 2) array, from the (C, n, 2) columns, the partial products of
+    ``class_state_trace`` and the (C, n, 2, 2) b and c column derivatives.
+
+    The build loop runs backwards: t = conj(xi)[P], viewed as (C, 2, 2^q),
+    gives column q's environment e_q = t . product_{q-1} and then folds
+    against col_q, so e_0 is what is left."""
+    classes, n = cols.shape[:2]
+    t = np.take(xi, _ring_permutation(n), axis=1).conj()
+    envs = np.empty_like(cols)
+    for q in range(n - 1, 0, -1):
+        t = t.reshape(classes, 2, -1)
+        envs[:, q] = (t @ products[q - 1][:, :, None])[..., 0]
+        t = (cols[:, q, None, :] @ t)[:, 0]
+    envs[:, 0] = t
+    return np.einsum("cqa,cqja->cqj", envs, dcols).real
 
 
 # --- model --------------------------------------------------------------------
@@ -384,13 +441,13 @@ class HQCGModel:
             raise ConfigError(f"need at least one class, got {self.num_classes}")
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.shape != (self.num_params,):
-            raise ShapeError(
-                f"theta must have length {self.num_params}, got {self.theta.shape}"
-            )
+            raise ShapeError(f"theta must have length {self.num_params}, "
+                             f"got {self.theta.shape}")
 
     @property
     def class_params_offset(self) -> int:
-        return self.lqcg.num_params + self.gqcg.num_params
+        lq, gq = self.lqcg.layout.shape, self.gqcg.layout.shape
+        return PARAMS_PER_GATE * (lq[0] * lq[1] + gq[0] * gq[1])
 
     @property
     def num_params(self) -> int:
@@ -534,9 +591,11 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
 
 
 def forward(model: HQCGModel, signal) -> np.ndarray:
-    """Class probabilities p_i = |<psi|phi_i>|^2 for one signal."""
-    values = np.asarray(signal, dtype=np.float64).ravel()
-    return forward_batch(model, values[None, :])[0]
+    """Class probabilities p_i = |<psi|phi_i>|^2 for one 1-D signal."""
+    values = np.asarray(signal, dtype=np.float64)
+    if values.ndim > 1:
+        raise ShapeError(f"expected one 1-D signal, got shape {values.shape}")
+    return forward_batch(model, values.reshape(1, -1))[0]
 
 
 # --- fidelity readouts ----------------------------------------------------------
@@ -581,16 +640,12 @@ def format_circuit(model: HQCGModel) -> str:
     lines = [
         f"HQCG circuit: {model.num_qubits} qubits, "
         f"group size {model.group_size}, {model.num_classes} classes",
-        f"LQCG: {len(model.lqcg.gates)} gates, {counts['lqcg']} params",
     ]
-    for g in model.lqcg.gates:
-        lines.append(f"  CU q{g.control} -> q{g.target}  slots {g.param_slot}")
-    lines.append(f"GQCG: {len(model.gqcg.gates)} gates, {counts['gqcg']} params")
-    for g in model.gqcg.gates:
-        lines.append(f"  CU q{g.control} -> q{g.target}  slots {g.param_slot}")
-    lines.append(
-        f"class states: {model.num_classes} x {3 * model.num_qubits} = "
-        f"{counts['class_states']} params"
-    )
+    for name, layer in (("LQCG", model.lqcg), ("GQCG", model.gqcg)):
+        lines.append(f"{name}: {len(layer.gates)} gates, {counts[name.lower()]} params")
+        lines += [f"  CU q{g.control} -> q{g.target}  slots {g.param_slot}"
+                  for g in layer.gates]
+    lines.append(f"class states: {model.num_classes} x {3 * model.num_qubits} = "
+                 f"{counts['class_states']} params")
     lines.append(f"total: {counts['total']} params")
     return "\n".join(lines)

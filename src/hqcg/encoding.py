@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, EncodingError
+from .errors import CapacityError, EncodingError, ShapeError
 from .qstate import Statevector, check_qubits
 
 
@@ -24,7 +24,9 @@ def required_qubits(length: int) -> int:
 def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
     """Encode a 1-D signal as a unit-norm statevector, zero-padded at the tail;
     the one-row case of ``encode_rows``."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim > 1:
+        raise ShapeError(f"expected one 1-D signal, got shape {v.shape}")
     n = required_qubits(v.size) if num_qubits is None else num_qubits
     return Statevector(n, encode_rows(v.reshape(1, -1), n)[0])
 

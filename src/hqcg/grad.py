@@ -32,18 +32,18 @@ summed over classes and over the qubits outside the block, as
 is sum_xy W[x, y] dV[x, y], W = conj(V) E, and V is the entrywise product
 of one table per gate (``circuit.chain_blocks``), so an angle of gate j
 reads W times the other factors, summed to a 2 x 2 environment of its
-target bit (``block_gradients``). Only 2^k x 2^k arrays enter this sweep,
-and no derivative is ever applied to a state.
+target bit (``circuit.block_environments``, ``circuit.block_gradients``).
+Only 2^k x 2^k arrays enter this sweep; no derivative touches a state.
 
 Class-state angles take dL/dtheta = (2/B) Re <xi_i|d phi_i>. Each class
 state is a fixed basis permutation P of a product of single-qubit columns
 u_q|0>, built as product_q = col_q (x) product_{q-1}
-(``circuit.class_state_trace(cols)``). ``class_gradients`` runs that loop
-backwards over the partial products: with t_i = conj(xi_i)[P], column q's
-environment is t_i on qubit q contracted with product_{q-1}, and folding
-t_i against col_q leaves the contraction for the next column down. The
-first angle of every column's rotation is an Rz acting on |0>, a global
-phase, so its gradient is exactly zero.
+(``circuit.class_state_trace(cols)``). ``circuit.class_gradients`` runs
+that loop backwards over the partial products: with t_i = conj(xi_i)[P],
+column q's environment is t_i on qubit q contracted with product_{q-1},
+and folding t_i against col_q leaves the contraction for the next column
+down. The first angle of every column's rotation is an Rz acting on |0>,
+a global phase, so its gradient is exactly zero.
 
 Batch reductions are fixed-shape matrix products, so reruns give
 bit-for-bit identical gradients.
@@ -55,19 +55,19 @@ import numpy as np
 
 from .circuit import (
     HQCGModel,
-    ParamCircuit,
     apply_param_circuit,
+    block_environments,
+    block_gradients,
+    class_gradients,
     class_state_trace,
     fidelities,
     forward_batch,
     fused_blocks,
-    gate_picks,
     overlap_columns,
     pull_back,
     rotations,
     score_rows,
     split_triples,
-    _ring_permutation,
 )
 # perfbench/run.py traces encode_rows and both kernels through this
 # module's namespace; the gradient itself calls none of them
@@ -84,74 +84,6 @@ def _forward_trace(model: HQCGModel, kets, unitaries):
     u = apply_param_circuit(kets, model.lqcg, unitaries[0])
     xi = apply_param_circuit(u, model.gqcg, unitaries[1])
     return u, xi, [kets, u, xi]
-
-
-def block_environments(bra: np.ndarray, ket: np.ndarray,
-                       circuit: ParamCircuit) -> np.ndarray:
-    """E_b[a, c] = sum conj(bra[block b = a]) ket[block b = c] over rows and
-    over the qubits outside block b, for every block of the layer, as a
-    (blocks, 2^k, 2^k) stack: <bra| I (x) X |ket> = sum_ac X[a, c] E_b[a, c]
-    for X on block b, with local qubit j of the block on bit j of a and c,
-    read through the circuit's ``Layout`` views."""
-    layout = circuit.layout
-    if not layout.natural:
-        tensor = (-1,) + (2,) * circuit.num_qubits
-        bra, ket = (a.reshape(tensor).transpose(layout.into) for a in (bra, ket))
-    bra = np.conjugate(bra, order="C")
-    ket = np.ascontiguousarray(ket)
-    size = 1 << layout.shape[1]
-    envs = np.empty((layout.shape[0], size, size), complex)
-    for view, env in zip(layout.views, envs):
-        np.matmul(bra.reshape(view).transpose(1, 0, 2).reshape(size, -1),
-                  ket.reshape(view).transpose(0, 2, 1).reshape(-1, size), out=env)
-    return envs
-
-
-def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:
-    """Re tr(V_b^dagger dV_b E_b^T) by every angle of chain-with-skip blocks,
-    as a (blocks, k, 3) array, from the block environments E_b, the blocks'
-    ``chain_blocks`` and their (blocks, k, 3, 2, 2) derivative matrices.
-
-    The trace is sum_xy W[x, y] dV[x, y] with W = conj(V) E. An angle of
-    gate j moves only factor j of V = F_0 * ... * F_{k-1}, and only where
-    its control bit is 1, so it gives sum_oi dU_j[o, i] M_j[o, i], where
-    M_j is W times the other k-1 factors, summed by the ``gate_picks`` of
-    gate j. A sweep down the gates folds F_{k-1}, ..., F_{j+1} into W, and
-    a sweep up multiplies in F_0 * ... * F_{j-1}."""
-    unitaries, factors = chain
-    k = len(factors)
-    rows, cols = gate_picks(k)
-    rest = np.empty_like(factors)
-    np.matmul(unitaries.conj(), envs, out=rest[-1])
-    for j in range(k - 1, 0, -1):
-        np.multiply(rest[j], factors[j], out=rest[j - 1])
-    prefix = factors[0]
-    for j in range(1, k):
-        rest[j] *= prefix
-        if j < k - 1:
-            prefix = prefix * factors[j]
-    gate_envs = rows[:, None] @ rest @ cols[:, None]
-    return np.einsum("jboi,bjdoi->bjd", gate_envs, dmats).real
-
-
-def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
-                    dcols: np.ndarray) -> np.ndarray:
-    """Re <xi_i|d phi_i> by the b and c angles of every class column, as a
-    (C, n, 2) array, from the (C, n, 2) columns, the partial products of
-    ``class_state_trace`` and the (C, n, 2, 2) b and c column derivatives.
-
-    The build loop runs backwards: t = conj(xi)[P], viewed as (C, 2, 2^q),
-    gives column q's environment e_q = t . product_{q-1} and then folds
-    against col_q, so e_0 is what is left."""
-    classes, n = cols.shape[:2]
-    t = np.take(xi, _ring_permutation(n), axis=1).conj()
-    envs = np.empty_like(cols)
-    for q in range(n - 1, 0, -1):
-        t = t.reshape(classes, 2, -1)
-        envs[:, q] = (t @ products[q - 1][:, :, None])[..., 0]
-        t = (cols[:, q, None, :] @ t)[:, 0]
-    envs[:, 0] = t
-    return np.einsum("cqa,cqja->cqj", envs, dcols).real
 
 
 def batch_loss(model: HQCGModel, signals, labels) -> float:

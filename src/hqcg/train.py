@@ -1,7 +1,7 @@
 """Shared training machinery: BCE loss, cosine schedule, AdamW, metrics, loop.
 
 The loop is model-agnostic: any object with a flat float64 ``theta``
-vector and a ``num_classes`` works, paired with a
+vector of ``num_params`` entries and a ``num_classes`` works, paired with a
 ``loss_grad_fn(model, signals, labels)`` and a ``predict_fn(model, signals)``.
 Both model families hold their batches to one contract, ``check_batch``,
 and reduce per-row losses with one ``mean_loss``. ``TrainConfig`` holds
@@ -114,11 +114,18 @@ def _real_array(values, what: str) -> np.ndarray:
 
 def check_batch(model, signals, labels=None):
     """(signals, labels) as float64 arrays once they are a batch ``model``
-    can score: finite ``model.theta``, a non-empty (batch, length) matrix of
-    real signals and, where given, (batch, ``model.num_classes``) labels in
-    [0, 1]. Each model checks its own signal width and values where it
-    reads them."""
-    if not np.isfinite(model.theta).all():
+    can score: a finite float64 ``model.theta`` of ``model.num_params``
+    entries, a non-empty (batch, length) matrix of real signals and, where
+    given, (batch, ``model.num_classes``) labels in [0, 1]. Each model
+    checks its own signal width and values where it reads them."""
+    theta = model.theta
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+            and theta.shape == (model.num_params,)):
+        got = (f"{theta.dtype} of shape {theta.shape}" if isinstance(theta, np.ndarray)
+               else type(theta).__name__)
+        raise ShapeError(f"theta must be a float64 vector of {model.num_params} "
+                         f"entries, got {got}")
+    if not np.isfinite(theta).all():
         raise NumericError("non-finite model parameters")
     signals = _real_array(signals, "signals")
     if signals.ndim != 2 or 0 in signals.shape:

@@ -17,11 +17,12 @@ import numpy as np
 
 from hqcg import ConfigError, batch_loss
 from hqcg.qstate import Controlled, ControlledSwap, Single, Swap
-from hqcg.train import check_batch
+from hqcg.train import PROB_FLOOR, check_batch
 
 I2 = np.eye(2, dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def random_unitary_2x2(rng) -> np.ndarray:
@@ -110,6 +111,20 @@ def _rotation(a: float, b: float, c: float) -> np.ndarray:
     return rz(c) @ ry @ rz(a)
 
 
+def _rotation_derivatives(a: float, b: float, c: float) -> list[np.ndarray]:
+    """d/da, d/db and d/dc of ``_rotation``: the same explicit product with
+    one factor replaced by its derivative."""
+    def rz(t):
+        return np.diag([np.exp(-0.5j * t), np.exp(0.5j * t)])
+
+    def drz(t):
+        return np.diag([-0.5j * np.exp(-0.5j * t), 0.5j * np.exp(0.5j * t)])
+    cos, sin = math.cos(b / 2), math.sin(b / 2)
+    ry = np.array([[cos, -sin], [sin, cos]])
+    dry = 0.5 * np.array([[-sin, -cos], [cos, -sin]])
+    return [rz(c) @ ry @ drz(a), rz(c) @ dry @ rz(a), drz(c) @ ry @ rz(a)]
+
+
 def _apply(states: np.ndarray, target: int, u: np.ndarray, control=None) -> np.ndarray:
     """``u`` on qubit ``target`` of every (rows, 2^n) state, only where qubit
     ``control`` is 1 if one is given, by explicit index pairs."""
@@ -146,6 +161,72 @@ def forward_oracle(model, signals) -> np.ndarray:
         for k in range(n if n > 1 else 0):
             phi[c : c + 1] = _apply(phi[c : c + 1], (k + 1) % n, not_gate, k)
     return np.abs(psi @ phi.conj().T) ** 2
+
+
+def gradient_oracle(model, signals, labels):
+    """(mean BCE, exact gradient) of an HQCG model from dense 2^n x 2^n
+    matrices, for n up to about 8. U is the product of every controlled
+    rotation P0 (x) I + P1 (x) R, and each angle sits in one gate, so dU by
+    that angle is U with the gate replaced by P1 (x) dR. Each class state is
+    the CNOT ring times the Kronecker product of its columns R_q|0>, and its
+    derivative by an angle of qubit q swaps that column for dR_q|0>. With
+    a_si = <phi_i|U x_s>/|x_s| and p_si = |a_si|^2, the mean BCE over the
+    batch and the classes, clamped to [PROB_FLOOR, 1 - PROB_FLOOR], has
+    dL/dtheta = sum_si dL/dp_si 2 Re(conj(a_si) da_si), where dL/dp_si is 0
+    outside the clamp's open interval."""
+    n, theta = model.num_qubits, model.theta
+    signals = np.asarray(signals, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    x = np.zeros((1 << n, len(signals)), dtype=complex)
+    x[: signals.shape[1]] = (signals / np.linalg.norm(signals, axis=1)[:, None]).T
+
+    gates = model.lqcg.gates + model.gqcg.gates
+    ops = [site_matrix(n, {g.control: P0})
+           + site_matrix(n, {g.control: P1, g.target: _rotation(*theta[list(g.param_slot)])})
+           for g in gates]
+
+    def product(factors):
+        total = np.eye(1 << n, dtype=complex)
+        for factor in factors:
+            total = factor @ total
+        return total
+
+    ring = product([site_matrix(n, {k: P0}) + site_matrix(n, {k: P1, (k + 1) % n: X})
+                    for k in range(n if n > 1 else 0)])
+
+    def class_state(columns):
+        return ring @ site_matrix(n, columns)[:, 0]
+
+    zero = np.array([[1.0], [0.0]])
+    columns = [{q: _rotation(*theta[start + 3 * q : start + 3 * q + 3]) @ zero
+                for q in range(n)}
+               for start in range(model.class_params_offset, theta.size, 3 * n)]
+    phi = np.array([class_state(cols) for cols in columns])
+    ux = product(ops) @ x
+    amps = phi.conj() @ ux  # (C, B)
+    probs = np.abs(amps) ** 2
+    p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    loss = -np.mean(labels.T * np.log(p) + (1.0 - labels.T) * np.log(1.0 - p))
+    inside = (probs > PROB_FLOOR) & (probs < 1.0 - PROB_FLOOR)
+    dldp = np.where(inside, -(labels.T / p - (1.0 - labels.T) / (1.0 - p)), 0.0) / probs.size
+
+    def chain(damps):
+        return float(np.sum(dldp * 2.0 * (amps.conj() * damps).real))
+
+    grads = np.zeros(theta.size)
+    for i, g in enumerate(gates):
+        for j, dr in enumerate(_rotation_derivatives(*theta[list(g.param_slot)])):
+            swapped = ops[:i] + [site_matrix(n, {g.control: P1, g.target: dr})] + ops[i + 1:]
+            grads[g.param_slot[j]] = chain(phi.conj() @ product(swapped) @ x)
+    for c, cols in enumerate(columns):
+        for q in range(n):
+            start = model.class_params_offset + 3 * (c * n + q)
+            for j, dr in enumerate(_rotation_derivatives(*theta[start : start + 3])):
+                dphi = class_state({**cols, q: dr @ zero})
+                damps = np.zeros_like(amps)
+                damps[c] = dphi.conj() @ ux
+                grads[start + j] = chain(damps)
+    return float(loss), grads
 
 
 def reference_adamw(theta, grads, m1, m2, t, lr, beta1, beta2, eps, weight_decay):

@@ -17,6 +17,7 @@ from hqcg import (
     NumericError,
     ShapeError,
     Statevector,
+    amplitude_encode,
     build_gqcg,
     build_lqcg,
     build_model,
@@ -339,6 +340,19 @@ def test_forward_batch_rejects_non_matrix_input(shape):
     model = build_model(4, 2, 2, seed=0)
     with pytest.raises(HqcgError):
         forward_batch(model, np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 128), (1, 16), (2, 2, 2)])
+def test_single_signal_entry_points_refuse_a_matrix(shape):
+    # a matrix is a batch: neither entry point flattens it into one signal
+    model = build_model(8, 4, 4, seed=0)
+    with pytest.raises(ShapeError, match=r"expected one 1-D signal, got shape"):
+        forward(model, np.ones(shape))
+    with pytest.raises(ShapeError, match=r"expected one 1-D signal, got shape"):
+        amplitude_encode(np.ones(shape))
+    # one value is still a signal of length one
+    np.testing.assert_array_equal(forward(model, 2.0), forward_batch(model, [[2.0]])[0])
+    np.testing.assert_array_equal(amplitude_encode(-3.0).amplitudes, [-1.0, 0.0])
 
 
 def _scored_fresh(model, signals):

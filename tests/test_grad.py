@@ -24,9 +24,9 @@ from hqcg import (
     loss_and_gradients,
     zero_state,
 )
-from hqcg.circuit import apply_param_circuit, build_gqcg, build_lqcg, chain_blocks, \
-    class_state_trace, rotation_matrices, rotations
-from hqcg.grad import block_environments, block_gradients, class_gradients
+from hqcg.circuit import apply_param_circuit, block_environments, block_gradients, \
+    build_gqcg, build_lqcg, chain_blocks, class_gradients, class_state_trace, \
+    rotation_matrices, rotations
 from hqcg.qstate import Controlled, Single, apply_gate, inner_product
 from oracles import P1, circuit_matrix, finite_diff_oracle, gate_matrix, \
     random_state_vector, site_matrix
@@ -218,9 +218,12 @@ def test_fused_layers_match_dense_gate_product(n):
     # n=12 the layer against gate-by-gate statevector runs
     rng = np.random.default_rng(27 + n)
     for circuit in _layers(n):
-        # only a layer whose blocks cover the register in order skips the
-        # transposes, and every LQCG layer does
-        assert circuit.layout.natural == (len(circuit.blocks) * circuit.width == n)
+        # only a layer whose blocks cover the register in order reads the
+        # amplitudes in layer order without a copy, and every LQCG layer does
+        layout, kets = circuit.layout, np.zeros((3, 1 << n), complex)
+        ordered = kets.reshape((-1,) + (2,) * n).transpose(layout.into)
+        assert np.shares_memory(ordered.reshape(layout.views[-1]), kets) \
+            == (len(circuit.blocks) * circuit.width == n)
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
         gates = _gates(circuit, theta)
         angles = theta.reshape(len(circuit.blocks), circuit.width, 3)

@@ -1,6 +1,7 @@
 """Property tests over random geometries: the pull-back forward pass against
 a gate-by-gate statevector simulation, and the folded adjoint gradient
-against the finite-difference oracle at the criterion-4 tolerance."""
+against the finite-difference oracle at the criterion-4 tolerance and
+against the exact dense gradient oracle near rounding."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hqcg import (
 )
 from hqcg.circuit import rotation_matrices, split_triples
 from hqcg.train import bce_rows
-from oracles import finite_diff_oracle
+from oracles import finite_diff_oracle, gradient_oracle
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -31,10 +32,10 @@ def _group_sizes(n):
 
 
 @st.composite
-def problems(draw):
-    """(model, signals, labels): n in [4, 8], C in [1, 4], L in [1, 2^n]
-    (padded when L < 2^n), B in [1, 5]."""
-    n = draw(st.integers(4, 8).filter(_group_sizes))
+def problems(draw, max_qubits=8):
+    """(model, signals, labels): n in [4, max_qubits], C in [1, 4], L in
+    [1, 2^n] (padded when L < 2^n), B in [1, 5]."""
+    n = draw(st.integers(4, max_qubits).filter(_group_sizes))
     g = draw(st.sampled_from(_group_sizes(n)))
     classes = draw(st.integers(1, 4))
     length = draw(st.integers(1, 1 << n))
@@ -86,3 +87,16 @@ def test_loss_and_gradients_match_references(problem):
     fd = finite_diff_oracle(model, signals, labels, eps=1e-5)
     tol = np.maximum(1e-7, 1e-4 * np.abs(fd))
     assert (np.abs(analytic - fd) <= tol).all()
+
+
+@settings(PROPERTY, max_examples=50)
+@given(problems(max_qubits=6))
+def test_loss_and_gradients_match_exact_gradient_oracle(problem):
+    # every component within 1e-10 of its own size, or within 1e-12 of the
+    # largest where cancellation leaves it near zero (the phase slots are 0)
+    model, signals, labels = problem
+    loss, analytic = loss_and_gradients(model, signals, labels)
+    expected_loss, expected = gradient_oracle(model, signals, labels)
+    assert abs(loss - expected_loss) <= 1e-12
+    np.testing.assert_allclose(analytic, expected, rtol=1e-10,
+                               atol=1e-12 * np.abs(expected).max())

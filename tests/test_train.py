@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -29,6 +30,36 @@ from hqcg.baseline import mlp_param_count
 from hqcg.data import Sample
 from hqcg.train import bce_rows
 from oracles import pairwise_auc, reference_adamw
+
+
+@pytest.mark.parametrize("case", ["int64", "float32", "list", "short"])
+def test_theta_must_be_a_float64_vector_of_num_params(case):
+    # the forward memo keys on the raw bytes of theta and reads them back as
+    # float64, so a vector of any other type or length is refused, not read
+    rng = np.random.default_rng(3)
+    signals = rng.normal(size=(5, 64))
+    labels = (rng.random((5, 3)) < 0.5).astype(float)
+    checks = [
+        (hqcg.build_model(6, 2, 3, seed=0),
+         [hqcg.forward_batch, lambda m, s: hqcg.loss_and_gradients(m, s, labels),
+          lambda m, s: hqcg.batch_loss(m, s, labels)]),
+        (build_mlp(64, 4, 3, seed=0),
+         [mlp_forward_batch, lambda m, s: mlp_gradients(m, s, labels)]),
+    ]
+    for model, calls in checks:
+        size, want = model.num_params, model.theta
+        theta, got = {"int64": (np.ones(size, np.int64), f"int64 of shape ({size},)"),
+                      "float32": (np.ones(size, np.float32), f"float32 of shape ({size},)"),
+                      "list": ([1.0] * size, "list"),
+                      "short": (np.ones(size - 1), f"float64 of shape ({size - 1},)")}[case]
+        message = f"theta must be a float64 vector of {size} entries, got {got}"
+        model.theta = theta
+        for call in calls:
+            with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+                call(model, signals)
+        model.theta = want
+        for call in calls:
+            call(model, signals)
 
 
 def _bce(probs, labels):
