@@ -20,12 +20,17 @@ one dense block product at a time
 (``apply_param_circuit(amps, circuit, unitaries)``); no gate runs alone.
 Every layer, and its gradient (``block_environments``, ``block_gradients``),
 reads the amplitudes through the ``Layout`` kept on it (``ParamCircuit.layout``);
-for LQCG, whose blocks lie in qubit order, that layout moves no data.
+for LQCG, whose blocks lie in qubit order, that layout moves no data. For
+GQCG it does, so a state may also be kept in GQCG's first order
+(``layer_order``) or as its product leaves it (``natural_order`` reads
+that back), and both the layer and its environments read it there.
 
 Per-class learnable states are prepared by one layer of per-qubit
 rotations followed by a fixed CNOT ring; the ring only permutes basis
 states, so they are built as permuted Kronecker products of single-qubit
-columns (``class_state_trace(cols)``), differentiated by ``class_gradients``.
+columns, in groups of g columns (``class_state_trace``), gathered in
+natural order or straight into GQCG's layer order (``class_gathers``),
+and differentiated by ``class_gradients``.
 Class scores are state fidelities |<psi|phi_i>|^2, computable either
 directly or through the ancilla swap test. The batched forward pass scores signals against the
 class states pulled back through both layers (``pull_back``), all C
@@ -51,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 # perfbench/run.py traces encode_rows and map_rows through this namespace
-from .encoding import check_rows, checked_norms, encode_rows  # noqa: F401
+from .encoding import check_rows, checked_norms, encode_rows, real_array  # noqa: F401
 from .errors import CapacityError, ConfigError, ShapeError, check_seed
 from .parallel import map_rows  # noqa: F401
 # perfbench/run.py also traces apply_controlled_matrix through this
@@ -294,23 +299,43 @@ def chain_blocks(mats: np.ndarray):
     return fused, factors
 
 
+def layer_order(amps: np.ndarray, circuit: ParamCircuit) -> np.ndarray:
+    """(rows, 2^n) natural amplitudes in the first order of the circuit's
+    ``Layout``, as its (rows, 2^k, rest) ``views[-1]`` array: a view for
+    LQCG, a copy for GQCG."""
+    tensor = (-1,) + (2,) * circuit.num_qubits
+    layout = circuit.layout
+    return amps.reshape(tensor).transpose(layout.into).reshape(layout.views[-1])
+
+
+def natural_order(amps: np.ndarray, circuit: ParamCircuit) -> np.ndarray:
+    """The (rows, 2^n) natural amplitudes of a state the layer's products
+    left in their own (rows, rest, 2^k) order."""
+    tensor = (-1,) + (2,) * circuit.num_qubits
+    return amps.reshape(tensor).transpose(circuit.layout.back).reshape(len(amps), -1)
+
+
 def apply_param_circuit(amps: np.ndarray, circuit: ParamCircuit,
                         unitaries: np.ndarray, *, adjoint: bool = False) -> np.ndarray:
     """Run the layer, or with ``adjoint`` its inverse, over raw amplitudes
-    (batched over leading axes), one block of ``unitaries``, the layer's
-    ``chain_blocks`` unitary stack, at a time.
+    (one state or a (rows, 2^n) stack), one block of ``unitaries``, the
+    layer's ``chain_blocks`` unitary stack, at a time.
 
     In the first order of the circuit's ``Layout`` the top block is one
     (2^k, 2^k) product on every row; the product leaves that block at the
-    bottom, so the next block comes on top."""
+    bottom, so the next block comes on top. Natural amplitudes come back in
+    natural order. A (rows, 2^k, rest) array already in that first order
+    (``layer_order``) skips the way in and comes back as the last product
+    leaves it, (rows, rest, 2^k) (``natural_order`` reads it)."""
     # right factors: V^T, or conj(V) = (V^dagger)^T for the adjoint
     right = unitaries.conj() if adjoint else unitaries.swapaxes(-1, -2)
-    layout = circuit.layout
-    tensor = (-1,) + (2,) * circuit.num_qubits
-    x = amps.reshape(tensor).transpose(layout.into).reshape(layout.views[-1])
+    x = amps if amps.ndim == 3 else layer_order(amps, circuit)
     for v in right[::-1]:
-        x = (x.swapaxes(1, 2) @ v).reshape(x.shape)
-    return x.reshape(tensor).transpose(layout.back).reshape(amps.shape)
+        product = x.swapaxes(1, 2) @ v
+        x = product.reshape(x.shape)
+    if amps.ndim == 3:
+        return product
+    return natural_order(product, circuit).reshape(amps.shape)
 
 
 def block_environments(bra: np.ndarray, ket: np.ndarray,
@@ -318,26 +343,35 @@ def block_environments(bra: np.ndarray, ket: np.ndarray,
     """E_b[a, c] = sum conj(bra[block b = a]) ket[block b = c] over rows and
     over the qubits outside block b, for every block of the layer, as a
     (blocks, 2^k, 2^k) stack: <bra| I (x) X |ket> = sum_ac X[a, c] E_b[a, c]
-    for X on block b, with local qubit j of the block on bit j of a and c,
-    read through the circuit's ``Layout`` views."""
+    for X on block b, with local qubit j of the block on bit j of a and c.
+
+    Both states come in the first order of the circuit's ``Layout`` (for
+    LQCG the natural order; a GQCG ket as the ``swapaxes(1, 2)`` view of
+    what its product left) and are read through its views; only the bra's
+    conjugate is made, and neither state is reordered. A block sums one
+    (2^k, rest) @ (rest, 2^k) product per leading row, or, on the lowest
+    bits (rest 1), takes one (2^k, rows) @ (rows, 2^k)."""
     layout = circuit.layout
-    tensor = (-1,) + (2,) * circuit.num_qubits
-    bra = np.conjugate(bra.reshape(tensor).transpose(layout.into), order="C")
-    ket = ket.reshape(tensor).transpose(layout.into)
+    bra = bra.conj()
     size = 1 << layout.shape[1]
     envs = np.empty((layout.shape[0], size, size), complex)
     for view, env in zip(layout.views, envs):
-        np.matmul(bra.reshape(view).transpose(1, 0, 2).reshape(size, -1),
-                  ket.reshape(view).transpose(0, 2, 1).reshape(-1, size), out=env)
+        b, k = bra.reshape(view), ket.reshape(view)
+        if view[2] == 1:
+            np.matmul(b[..., 0].T, k[..., 0], out=env)
+        else:
+            np.sum(b @ k.swapaxes(1, 2), axis=0, out=env)
     return envs
 
 
 def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:
-    """Re tr(V_b^dagger dV_b E_b^T) by every angle of chain-with-skip blocks,
-    as a (blocks, k, 3) array, from the block environments E_b, the blocks'
-    ``chain_blocks`` and their (blocks, k, 3, 2, 2) derivative matrices.
+    """Re tr(dV_b V_b^dagger E_b^T) by every angle of chain-with-skip blocks,
+    as a (blocks, k, 3) array, from the ``block_environments`` E_b of the
+    states on the far side of the layer, the blocks' ``chain_blocks`` and
+    their (blocks, k, 3, 2, 2) derivative matrices: with E_b read from
+    (bra, V ket), that is Re <bra| I (x) dV_b |ket>.
 
-    The trace is sum_xy W[x, y] dV[x, y] with W = conj(V) E. An angle of
+    The trace is sum_xy W[x, y] dV[x, y] with W = E conj(V). An angle of
     gate j moves only factor j of V = F_0 * ... * F_{k-1}, and only where
     its control bit is 1, so it gives sum_oi dU_j[o, i] M_j[o, i], where
     M_j is W times the other k-1 factors, summed by the ``gate_picks`` of
@@ -347,7 +381,7 @@ def block_gradients(envs: np.ndarray, chain, dmats: np.ndarray) -> np.ndarray:
     k = len(factors)
     rows, cols = gate_picks(k)
     rest = np.empty_like(factors)
-    np.matmul(unitaries.conj(), envs, out=rest[-1])
+    np.matmul(envs, unitaries.conj(), out=rest[-1])
     for j in range(k - 1, 0, -1):
         np.multiply(rest[j], factors[j], out=rest[j - 1])
     prefix = factors[0]
@@ -377,45 +411,83 @@ def _ring_permutation(num_qubits: int, inverse: bool = False) -> np.ndarray:
     return idx
 
 
-def class_state_trace(cols: np.ndarray):
+@lru_cache(maxsize=128)
+def class_gathers(circuit: ParamCircuit) -> tuple[np.ndarray, np.ndarray]:
+    """``_ring_permutation``'s preimage and image composed with the layer's
+    axis orders, 2^n entries each: the Kronecker-product index of every
+    position of a class state in the first order of the ``Layout``, which
+    ``class_state_trace`` gathers, and the position of every ring image in
+    the order the layer's product leaves a state, which ``class_gradients``
+    reads."""
+    n, layout = circuit.num_qubits, circuit.layout
+    index = np.arange(1 << n).reshape((1,) + (2,) * n)
+    ordered, product = (index.transpose(order).ravel() for order in (layout.into, layout.back))
+    tables = (_ring_permutation(n, inverse=True)[ordered], product[_ring_permutation(n)])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def class_state_trace(cols: np.ndarray, group_size: int, gather: np.ndarray):
     """Class states from their (C, n, 2) single-qubit columns u_q|0>, one
-    row per class, plus the partial products they are built from.
+    row per class, gathered through ``gather``, plus the partial products
+    they are built from.
 
     The ansatz puts each qubit in u_q|0> and closes with a CNOT ring. The
     ring only permutes basis states, so each class state is that
-    permutation of the Kronecker product of its n columns, qubit q on bit q,
-    built as product_q = col_q (x) product_{q-1}. The partial products
-    product_0, ..., product_{n-2} come back as a list of (C, 2^(q+1))
-    arrays, which ``class_gradients`` reads in reverse. The ring
-    permutes the last product by a gather through its preimage.
+    permutation of the Kronecker product of its n columns, qubit q on bit q.
+    The product is built in groups of ``group_size`` columns, which must
+    divide n: a loop over the position in the group, batched over the
+    groups, takes group_p = col_p (x) group_{p-1}, and a loop over the
+    groups takes product_j = group_j (x) product_{j-1}, (g - 1) + (n/g - 1)
+    broadcast products in all. The trace holds the partial products of
+    both loops, which ``class_gradients`` reads in reverse. ``gather``
+    indexes the last product: ``_ring_permutation(n, inverse=True)`` for the
+    natural order, or ``class_gathers(gqcg)[0]`` for GQCG's layer order.
     """
-    classes, num_qubits = cols.shape[:2]
-    products = [cols[:, 0]]
-    for q in range(1, num_qubits):
-        products.append((cols[:, q, :, None] * products[-1][:, None, :])
-                        .reshape(classes, -1))
-    return (np.take(products.pop(), _ring_permutation(num_qubits, inverse=True), axis=1),
-            products)
+    classes, blocks = len(cols), cols.shape[1] // group_size
+    cols = cols.reshape(classes, blocks, group_size, 2)
+    inner = [cols[:, :, 0]]
+    for p in range(1, group_size):
+        inner.append((cols[:, :, p, :, None] * inner[-1][:, :, None, :])
+                     .reshape(classes, blocks, -1))
+    groups = inner.pop()
+    outer = [groups[:, 0]]
+    for j in range(1, blocks):
+        outer.append((groups[:, j, :, None] * outer[-1][:, None, :]).reshape(classes, -1))
+    return np.take(outer.pop(), gather, axis=1), (inner, groups, outer)
 
 
-def class_gradients(xi: np.ndarray, cols: np.ndarray, products,
-                    dcols: np.ndarray) -> np.ndarray:
+def class_gradients(xi: np.ndarray, cols: np.ndarray, trace, dcols: np.ndarray,
+                    gather: np.ndarray) -> np.ndarray:
     """Re <xi_i|d phi_i> by the b and c angles of every class column, as a
-    (C, n, 2) array, from the (C, n, 2) columns, the partial products of
+    (C, n, 2) array, from the (C, n, 2) columns, the trace of
     ``class_state_trace`` and the (C, n, 2, 2) b and c column derivatives.
+    ``gather`` reads xi, one row per class, in Kronecker-product order:
+    ``_ring_permutation(n)`` for natural rows, or ``class_gathers(gqcg)[1]``
+    for rows as GQCG's product leaves them.
 
-    The build loop runs backwards: t = conj(xi)[P], viewed as (C, 2, 2^q),
-    gives column q's environment e_q = t . product_{q-1} and then folds
-    against col_q, so e_0 is what is left."""
-    classes, n = cols.shape[:2]
-    t = np.take(xi, _ring_permutation(n), axis=1).conj()
-    envs = np.empty_like(cols)
-    for q in range(n - 1, 0, -1):
-        t = t.reshape(classes, 2, -1)
-        envs[:, q] = (t @ products[q - 1][:, :, None])[..., 0]
-        t = (cols[:, q, None, :] @ t)[:, 0]
-    envs[:, 0] = t
-    return np.einsum("cqa,cqja->cqj", envs, dcols).real
+    Both build loops run backwards, the groups first: t = conj(xi)[gather],
+    viewed as (C, 2^g, rest), gives group j's environment t . product_{j-1}
+    and then folds against group_j; the same sweep over the positions,
+    batched over the groups, gives each column's environment."""
+    inner, groups, outer = trace
+    classes, blocks, size = groups.shape
+    cols = cols.reshape(classes, blocks, -1, 2)
+    t = np.take(xi.reshape(classes, -1), gather, axis=1).conj()
+    group_envs = np.empty_like(groups)
+    for j in range(len(outer), 0, -1):
+        t = t.reshape(classes, size, -1)
+        group_envs[:, j] = (t @ outer[j - 1][:, :, None])[..., 0]
+        t = (groups[:, j, None, :] @ t)[:, 0]
+    group_envs[:, 0] = t
+    envs, t = np.empty_like(cols), group_envs
+    for p in range(len(inner), 0, -1):
+        t = t.reshape(t.shape[:2] + (2, -1))
+        envs[:, :, p] = (t @ inner[p - 1][..., None])[..., 0]
+        t = (cols[:, :, p, None, :] @ t)[:, :, 0]
+    envs[:, :, 0] = t
+    return np.einsum("cqa,cqja->cqj", envs.reshape(dcols.shape[:2] + (2,)), dcols).real
 
 
 # --- model --------------------------------------------------------------------
@@ -483,7 +555,8 @@ def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> n
     ``fused_blocks`` columns if the caller has them."""
     if cols is None:
         cols = rotation_matrices(split_triples(model, model.theta.reshape(-1, 3))[2])[..., 0]
-    return class_state_trace(cols)[0]
+    return class_state_trace(cols, model.group_size,
+                             _ring_permutation(model.num_qubits, inverse=True))[0]
 
 
 def split_triples(model: HQCGModel, rows: np.ndarray):
@@ -508,10 +581,14 @@ def fused_blocks(model: HQCGModel, mats: np.ndarray):
 
 
 def pull_back(model: HQCGModel, class_states: np.ndarray, unitaries):
-    """(G^dagger Phi, U^dagger Phi): the (C, 2^n) class states swept back
-    through GQCG, then through LQCG, with the conjugate transposes of the
-    (LQCG, GQCG) ``chain_blocks`` unitary stacks in ``unitaries``."""
-    beta = apply_param_circuit(class_states, model.gqcg, unitaries[1], adjoint=True)
+    """(G^dagger Phi, U^dagger Phi) in natural order: the (C, 2^n) class
+    states, given in GQCG's layer order, swept back through GQCG, then
+    through LQCG, with the conjugate transposes of the (LQCG, GQCG)
+    ``chain_blocks`` unitary stacks in ``unitaries``."""
+    gqcg = model.gqcg
+    beta = apply_param_circuit(class_states.reshape(gqcg.layout.views[-1]), gqcg,
+                               unitaries[1], adjoint=True)
+    beta = natural_order(beta, gqcg)
     return beta, apply_param_circuit(beta, model.lqcg, unitaries[0], adjoint=True)
 
 
@@ -566,7 +643,8 @@ def scoring_columns(lqcg: ParamCircuit, gqcg: ParamCircuit, num_classes: int,
     model = HQCGModel(lqcg.num_qubits, lqcg.width, num_classes, lqcg, gqcg,
                       np.frombuffer(theta))
     _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
-    pulled = pull_back(model, class_state_matrix(model, cols=cols), unitaries)[1]
+    states = layer_order(class_state_matrix(model, cols=cols), model.gqcg)
+    pulled = pull_back(model, states, unitaries)[1]
     columns = overlap_columns(pulled, length)
     columns.setflags(write=False)
     return columns
@@ -592,7 +670,7 @@ def forward_batch(model: HQCGModel, signals) -> np.ndarray:
 
 def forward(model: HQCGModel, signal) -> np.ndarray:
     """Class probabilities p_i = |<psi|phi_i>|^2 for one 1-D signal."""
-    values = np.asarray(signal, dtype=np.float64)
+    values = real_array(signal, "signal")
     if values.ndim > 1:
         raise ShapeError(f"expected one 1-D signal, got shape {values.shape}")
     return forward_batch(model, values.reshape(1, -1))[0]

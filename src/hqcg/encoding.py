@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, EncodingError, ShapeError
+from .errors import CapacityError, DataFormatError, EncodingError, ShapeError
 from .qstate import Statevector, check_qubits
 
 
@@ -21,10 +21,21 @@ def required_qubits(length: int) -> int:
     return max(1, (int(length) - 1).bit_length())
 
 
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, refused if they are not real numbers:
+    a complex array would lose its imaginary part, and text has no value."""
+    array = np.asarray(values)
+    if array.dtype != np.float64:
+        if array.dtype.kind not in "biuf":
+            raise DataFormatError(f"{what} must be real numbers, got dtype {array.dtype}")
+        array = array.astype(np.float64)
+    return array
+
+
 def amplitude_encode(values, num_qubits: int | None = None) -> Statevector:
     """Encode a 1-D signal as a unit-norm statevector, zero-padded at the tail;
     the one-row case of ``encode_rows``."""
-    v = np.asarray(values, dtype=np.float64)
+    v = real_array(values, "signal")
     if v.ndim > 1:
         raise ShapeError(f"expected one 1-D signal, got shape {v.shape}")
     n = required_qubits(v.size) if num_qubits is None else num_qubits

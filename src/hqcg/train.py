@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import stack_samples, write_json, write_lines
+from .encoding import real_array
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError, \
     UndefinedMetricError, check_seed
 
@@ -101,17 +102,6 @@ def bce_rows(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1) / -probs.shape[1]
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array, refused if they are not real numbers:
-    a complex array would lose its imaginary part, and text has no value."""
-    array = np.asarray(values)
-    if array.dtype != np.float64:
-        if array.dtype.kind not in "biuf":
-            raise DataFormatError(f"{what} must be real numbers, got dtype {array.dtype}")
-        array = array.astype(np.float64)
-    return array
-
-
 def check_batch(model, signals, labels=None):
     """(signals, labels) as float64 arrays once they are a batch ``model``
     can score: a finite float64 ``model.theta`` of ``model.num_params``
@@ -127,12 +117,12 @@ def check_batch(model, signals, labels=None):
                          f"entries, got {got}")
     if not np.isfinite(theta).all():
         raise NumericError("non-finite model parameters")
-    signals = _real_array(signals, "signals")
+    signals = real_array(signals, "signals")
     if signals.ndim != 2 or 0 in signals.shape:
         raise ShapeError(f"expected a non-empty (batch, length) matrix, "
                          f"got shape {signals.shape}")
     if labels is not None:
-        labels = _real_array(labels, "labels")
+        labels = real_array(labels, "labels")
         if labels.shape != (len(signals), model.num_classes):
             raise ShapeError(f"labels shape {labels.shape} does not match "
                              f"({len(signals)}, {model.num_classes})")

@@ -13,6 +13,7 @@ from hqcg import (
     MAX_QUBITS,
     CapacityError,
     ConfigError,
+    DataFormatError,
     HqcgError,
     NumericError,
     ShapeError,
@@ -29,7 +30,8 @@ from hqcg import (
     zero_state,
 )
 from hqcg.circuit import PRODUCT_MACS, apply_param_circuit, chain_blocks, \
-    class_state_trace, fused_blocks, rotation_matrices, rotations, split_triples
+    class_state_trace, fused_blocks, layer_order, natural_order, rotation_matrices, \
+    rotations, split_triples
 from hqcg.encoding import encode_rows
 from hqcg.qstate import Controlled, Single, apply_gate
 from oracles import circuit_matrix, forward_oracle, qubit_purity, random_state_vector
@@ -177,9 +179,12 @@ def test_param_slots_are_contiguous():
 # --- class states ----------------------------------------------------------------
 
 
-def _class_states(angles):
-    """The class states of a (C, n, 3) block of per-qubit angles, as rows."""
-    return class_state_trace(rotation_matrices(angles)[..., 0])[0]
+def _class_states(angles, group_size=1):
+    """The class states of a (C, n, 3) block of per-qubit angles, as rows in
+    natural order, their Kronecker products built in groups of ``group_size``."""
+    angles = np.asarray(angles, dtype=float)
+    ring = hqcg.circuit._ring_permutation(angles.shape[1], inverse=True)
+    return class_state_trace(rotation_matrices(angles)[..., 0], group_size, ring)[0]
 
 
 def test_class_state_zero_angles_is_ground_state():
@@ -200,19 +205,38 @@ def test_class_state_norm():
 
 def test_class_state_matches_gate_by_gate_ansatz():
     # Per-qubit rotations on |0...0>, then CNOT(k -> k+1 mod n) for
-    # k = 0..n-1; one qubit has no ring.
+    # k = 0..n-1; one qubit has no ring. Every group size that divides n
+    # builds the same states.
     rng = np.random.default_rng(1)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for n in range(1, 7):
         angles = rng.uniform(-np.pi, np.pi, (3, n, 3))
-        out = _class_states(angles)
-        for c in range(3):
-            ref = zero_state(n)
-            for q in range(n):
-                ref = apply_gate(ref, Single(q, _explicit_rotation(*angles[c, q])))
-            for k in range(n if n > 1 else 0):
-                ref = apply_gate(ref, Controlled(k, (k + 1) % n, x))
-            np.testing.assert_allclose(out[c], ref.amplitudes, rtol=0, atol=1e-12)
+        for group_size in [g for g in range(1, n + 1) if n % g == 0]:
+            out = _class_states(angles, group_size)
+            for c in range(3):
+                ref = zero_state(n)
+                for q in range(n):
+                    ref = apply_gate(ref, Single(q, _explicit_rotation(*angles[c, q])))
+                for k in range(n if n > 1 else 0):
+                    ref = apply_gate(ref, Controlled(k, (k + 1) % n, x))
+                np.testing.assert_allclose(out[c], ref.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, g", [(4, 2), (6, 2), (6, 3), (8, 4), (9, 3), (12, 4)])
+def test_class_states_gather_into_gqcg_layer_order(n, g):
+    # the composed gather gives the natural states in GQCG's layer order, and
+    # the composed read takes a state GQCG's product left back to the ring
+    # image the natural read gives, both bit for bit
+    gqcg = build_gqcg(n, g)
+    cols = rotation_matrices(np.random.default_rng(n).uniform(-np.pi, np.pi, (3, n, 3)))[..., 0]
+    gather, read = hqcg.circuit.class_gathers(gqcg)
+    natural = class_state_trace(cols, g, hqcg.circuit._ring_permutation(n, inverse=True))[0]
+    ordered = class_state_trace(cols, g, gather)[0]
+    assert ordered.tobytes() == layer_order(natural, gqcg).tobytes()
+    left = layer_order(natural, gqcg).swapaxes(1, 2).copy()
+    assert natural_order(left, gqcg).tobytes() == natural.tobytes()
+    np.testing.assert_array_equal(np.take(left.reshape(3, -1), read, axis=1),
+                                  np.take(natural, hqcg.circuit._ring_permutation(n), axis=1))
 
 
 # --- model and forward ------------------------------------------------------------
@@ -353,6 +377,20 @@ def test_single_signal_entry_points_refuse_a_matrix(shape):
     # one value is still a signal of length one
     np.testing.assert_array_equal(forward(model, 2.0), forward_batch(model, [[2.0]])[0])
     np.testing.assert_array_equal(amplitude_encode(-3.0).amplitudes, [-1.0, 0.0])
+
+
+@pytest.mark.parametrize("signal", [np.array([1 + 1j, 2, 3]), [1 + 1j, 2, 3], ["1", "2", "3"]],
+                         ids=["complex-array", "complex-list", "text"])
+def test_single_signal_entry_points_refuse_complex_and_text(signal):
+    # forward_batch refuses these values, so neither entry point drops an
+    # imaginary part or ends in a traceback of its own
+    model = build_model(8, 4, 4, seed=0)
+    with pytest.raises(DataFormatError, match=r"signal must be real numbers, got dtype"):
+        forward(model, signal)
+    with pytest.raises(DataFormatError, match=r"signal must be real numbers, got dtype"):
+        amplitude_encode(signal)
+    with pytest.raises(DataFormatError, match=r"signals must be real numbers, got dtype"):
+        forward_batch(model, [signal])
 
 
 def _scored_fresh(model, signals):

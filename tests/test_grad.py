@@ -25,7 +25,7 @@ from hqcg import (
     zero_state,
 )
 from hqcg.circuit import apply_param_circuit, block_environments, block_gradients, \
-    build_gqcg, build_lqcg, chain_blocks, class_gradients, class_state_trace, \
+    build_gqcg, build_lqcg, chain_blocks, class_gradients, class_state_trace, layer_order, \
     rotation_matrices, rotations
 from hqcg.qstate import Controlled, Single, apply_gate, inner_product
 from oracles import P1, circuit_matrix, finite_diff_oracle, gate_matrix, \
@@ -253,8 +253,12 @@ def test_fused_layers_match_dense_gate_product(n):
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_block_environment_derivatives_match_dense_derivative(n):
     # sum_i <bra_i| dU |ket_i> for every angle of every layer, read from the
-    # block environments of the pulled-back bra and the ket; multiplying the
-    # bra by i turns the real part the sweep returns into the imaginary part
+    # block environments of the states on the layer's far side, the bra and
+    # U ket, with W = E conj(V): in natural order for a layer whose blocks
+    # cover the register in order (LQCG), and otherwise (GQCG) with the bra
+    # in layer order and U ket as the layer's product leaves it, as the step
+    # reads them; multiplying the bra by i turns the real part the sweep
+    # returns into the imaginary part
     rng = np.random.default_rng(28 + n)
     for circuit in _layers(n):
         theta = rng.uniform(-np.pi, np.pi, circuit.num_params)
@@ -262,10 +266,17 @@ def test_block_environment_derivatives_match_dense_derivative(n):
         chain = chain_blocks(mats)
         bra = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
         ket = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        natural = len(circuit.blocks) * circuit.width == n
+        if natural:
+            out = apply_param_circuit(ket, circuit, chain[0])
+        else:
+            out = apply_param_circuit(layer_order(ket, circuit), circuit, chain[0])
+            assert out.shape == (3, (1 << n) >> circuit.width, 1 << circuit.width)
+            out = out.swapaxes(1, 2)
         got = []
         for phase in (1.0, 1j):
-            pulled = apply_param_circuit(phase * bra, circuit, chain[0], adjoint=True)
-            envs = block_environments(pulled, ket, circuit)
+            far = phase * bra if natural else layer_order(phase * bra, circuit)
+            envs = block_environments(far, out, circuit)
             got.append(block_gradients(envs, chain, dmats))
         got = (got[0] + 1j * got[1]).reshape(-1, 3)
         for i, j in itertools.product(range(len(circuit.gates)), range(3)):
@@ -282,15 +293,15 @@ def test_cached_tables_are_read_only():
     cached = {name: fn for module in (hqcg.circuit, hqcg.grad, hqcg.qstate)
               for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
     assert set(cached) == {"chain_axes", "_ring_permutation", "gate_picks",
-                           "scoring_columns"}
+                           "class_gathers", "scoring_columns"}
     model = build_model(4, 2, 2, seed=0)
     results = [cached["chain_axes"](3),
                cached["_ring_permutation"](3), cached["_ring_permutation"](3, True),
-               *cached["gate_picks"](3),
+               *cached["gate_picks"](3), *cached["class_gathers"](model.gqcg),
                cached["scoring_columns"](model.lqcg, model.gqcg, model.num_classes,
                                          model.theta.tobytes(), 16)]
     arrays = [r for r in results if isinstance(r, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 7
     for table in arrays:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1
@@ -340,25 +351,30 @@ def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
     assert kernels == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9])
 def test_class_gradients_match_dense_derivative(n):
-    # the reverse sweep over the partial products against Re <xi|d phi>, with
-    # d phi built densely: the Kronecker product of the class columns with
-    # column q replaced by its derivative, then the CNOT ring as gates
+    # the reverse sweeps over the partial products of the grouped builder,
+    # for every group size in {1, 2, 3, n} that divides n, against
+    # Re <xi|d phi>, with d phi built densely: the Kronecker product of the
+    # class columns with column q replaced by its derivative, then the CNOT
+    # ring as gates
     rng = np.random.default_rng(40 + n)
     angles = rng.uniform(-np.pi, np.pi, (3, 3 * n))
     mats, dmats = rotations(angles.reshape(3, n, 3))
-    _, products = class_state_trace(mats[..., 0])
+    ring = hqcg.circuit._ring_permutation
     xi = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
-    got = class_gradients(xi, mats[..., 0], products, dmats[:, :, 1:, :, 0])
     x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    ring = circuit_matrix(n, [Controlled(k, (k + 1) % n, x_gate)
-                              for k in range(n)] if n > 1 else [])
+    cnots = circuit_matrix(n, [Controlled(k, (k + 1) % n, x_gate)
+                               for k in range(n)] if n > 1 else [])
+    want = np.empty((3, n, 2))
     for c, q, j in itertools.product(range(3), range(n), range(2)):
         cols = {p: mats[c, p, :, :1] for p in range(n)}
         cols[q] = dmats[c, q, j + 1, :, :1]
-        want = np.vdot(xi[c], ring @ site_matrix(n, cols)[:, 0]).real
-        assert abs(got[c, q, j] - want) <= 1e-13 * abs(want), (c, q, j)
+        want[c, q, j] = np.vdot(xi[c], cnots @ site_matrix(n, cols)[:, 0]).real
+    for group_size in sorted(g for g in {1, 2, 3, n} if n % g == 0):
+        _, trace = class_state_trace(mats[..., 0], group_size, ring(n, inverse=True))
+        got = class_gradients(xi, mats[..., 0], trace, dmats[:, :, 1:, :, 0], ring(n))
+        assert (abs(got - want) <= 1e-13 * abs(want)).all(), group_size
 
 
 # 61 rows of 4096 values score in product blocks of 30, 30 and 1 rows
