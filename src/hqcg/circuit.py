@@ -32,19 +32,15 @@ columns, in groups of g columns (``class_state_trace``), gathered in
 natural order or straight into GQCG's layer order (``class_gathers``),
 and differentiated by ``class_gradients``.
 Class scores are state fidelities |<psi|phi_i>|^2, computable either
-directly or through the ancilla swap test. The batched forward pass scores signals against the
-class states pulled back through both layers (``pull_back``), all C
-classes in one (batch, 2C) array of overlaps (``score_rows``), which
-takes the overlaps and norms of each block of rows while it is in cache,
-over the whole batch on the calling thread.
+directly or through the ancilla swap test. Scoring reads the class states
+pulled back through both layers (``pull_back``), all C classes in one
+(batch, 2C) array of overlaps (``score_rows``), which takes the overlaps and
+norms of each block of rows while it is in cache.
 
-Every gradient call, and every scoring call that misses the memo below,
-builds its gates, fused blocks and class columns once, in ``fused_blocks``;
-the functions below apply what they are given and rebuild nothing from
-``theta``. The pulled-back scoring matrix depends only on the layers, the
-class count, ``theta`` and the signal length, so ``scoring_columns`` keeps
-the last one built, read-only, and ``forward_batch`` reuses it for as long
-as that key holds.
+``fused_blocks`` builds the gates, fused blocks and class columns of one
+``theta`` at once; the functions here apply what they are given and rebuild
+nothing from ``theta``. Scores, loss and gradients are computed from them in
+``grad.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 # perfbench/run.py traces encode_rows and map_rows through this namespace
-from .encoding import check_rows, checked_norms, encode_rows, real_array  # noqa: F401
+from .encoding import checked_norms, encode_rows  # noqa: F401
 from .errors import CapacityError, ConfigError, ShapeError, check_seed
 from .parallel import map_rows  # noqa: F401
 # perfbench/run.py also traces apply_controlled_matrix through this
@@ -70,7 +66,6 @@ from .qstate import (  # noqa: F401
     check_qubits,
     inner_product,
 )
-from .train import check_batch
 
 PARAMS_PER_GATE = 3
 
@@ -214,20 +209,21 @@ def _groups(num_qubits: int, group_size: int) -> list[tuple[int, ...]]:
             for start in range(0, num_qubits, group_size)]
 
 
-def build_lqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
+def build_lqcg(num_qubits: int, group_size: int) -> ParamCircuit:
     """Local layer: per-block chain over adjacent qubits plus a skip gate.
 
     Produces exactly ``num_qubits`` gates (g per block, n/g blocks) and
-    3 * num_qubits new parameters.
+    3 * num_qubits parameters, the first of ``theta``.
     """
-    return ParamCircuit(num_qubits, tuple(_groups(num_qubits, group_size)), param_offset)
+    return ParamCircuit(num_qubits, tuple(_groups(num_qubits, group_size)), 0)
 
 
-def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> ParamCircuit:
+def build_gqcg(num_qubits: int, group_size: int) -> ParamCircuit:
     """Global layer: chain plus skip across block representatives.
 
     The representative of block k is its last qubit, (k+1)*g - 1, where the
-    local chain terminates. Needs at least two blocks.
+    local chain terminates. Needs at least two blocks. LQCG has one gate
+    per qubit at every group size, so the slots start at 3 * num_qubits.
     """
     groups = _groups(num_qubits, group_size)
     if len(groups) < 2:
@@ -235,7 +231,7 @@ def build_gqcg(num_qubits: int, group_size: int, param_offset: int = 0) -> Param
             "global layer needs at least two qubit groups "
             f"(got {len(groups)} group of size {group_size})"
         )
-    return ParamCircuit(num_qubits, (tuple(block[-1] for block in groups),), param_offset)
+    return ParamCircuit(num_qubits, (tuple(block[-1] for block in groups),), 3 * num_qubits)
 
 
 # --- fused blocks -------------------------------------------------------------
@@ -538,9 +534,9 @@ def build_model(num_qubits: int, group_size: int, num_classes: int,
                 seed: int | None = 0, theta=None) -> HQCGModel:
     """Assemble a model; theta defaults to seeded Uniform(-pi, pi)."""
     # _groups names a count below one qubit and refuses one above the cap
-    lqcg = build_lqcg(num_qubits, group_size, param_offset=0)
+    lqcg = build_lqcg(num_qubits, group_size)
     check_seed(seed)
-    gqcg = build_gqcg(num_qubits, group_size, param_offset=lqcg.num_params)
+    gqcg = build_gqcg(num_qubits, group_size)
     if num_classes < 1:
         raise ConfigError(f"need at least one class, got {num_classes}")
     total = lqcg.num_params + gqcg.num_params + 3 * num_qubits * num_classes
@@ -550,11 +546,9 @@ def build_model(num_qubits: int, group_size: int, num_classes: int,
     return HQCGModel(num_qubits, group_size, num_classes, lqcg, gqcg, theta)
 
 
-def class_state_matrix(model: HQCGModel, *, cols: np.ndarray | None = None) -> np.ndarray:
-    """All class states stacked as a (num_classes, 2^n) matrix, from their
-    ``fused_blocks`` columns if the caller has them."""
-    if cols is None:
-        cols = rotation_matrices(split_triples(model, model.theta.reshape(-1, 3))[2])[..., 0]
+def class_state_matrix(model: HQCGModel) -> np.ndarray:
+    """All class states stacked as a (num_classes, 2^n) matrix in natural order."""
+    cols = rotation_matrices(split_triples(model, model.theta.reshape(-1, 3))[2])[..., 0]
     return class_state_trace(cols, model.group_size,
                              _ring_permutation(model.num_qubits, inverse=True))[0]
 
@@ -630,50 +624,6 @@ def fidelities(overlaps: np.ndarray) -> np.ndarray:
     classes = overlaps.shape[1] // 2
     re, im = overlaps[:, :classes], overlaps[:, classes:]
     return re * re + im * im
-
-
-@lru_cache(maxsize=1)
-def scoring_columns(lqcg: ParamCircuit, gqcg: ParamCircuit, num_classes: int,
-                    theta: bytes, length: int) -> np.ndarray:
-    """The read-only (length, 2C) ``overlap_columns`` of the class states of
-    the model with these layers, class count and float64 ``theta`` bytes,
-    pulled back through both layers. Only the last key asked for is kept, so
-    one parameter vector scoring batch after batch builds it once, and each
-    new ``theta`` replaces it rather than adding an entry."""
-    model = HQCGModel(lqcg.num_qubits, lqcg.width, num_classes, lqcg, gqcg,
-                      np.frombuffer(theta))
-    _, unitaries, cols = fused_blocks(model, rotation_matrices(model.theta.reshape(-1, 3)))
-    states = layer_order(class_state_matrix(model, cols=cols), model.gqcg)
-    pulled = pull_back(model, states, unitaries)[1]
-    columns = overlap_columns(pulled, length)
-    columns.setflags(write=False)
-    return columns
-
-
-def forward_batch(model: HQCGModel, signals) -> np.ndarray:
-    """Per-class fidelity scores for a (batch, length) signal matrix.
-
-    The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
-    |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
-    the circuit once per parameter vector and length (``scoring_columns``);
-    the whole batch is then scored on the calling thread by one
-    ``score_rows`` pass, in blocks small enough for OpenBLAS's unpacked
-    kernel (``PRODUCT_MACS``), each read once for overlaps and norm. No
-    per-sample state is built.
-    """
-    signals, _ = check_batch(model, signals)
-    check_rows(signals, model.num_qubits)
-    columns = scoring_columns(model.lqcg, model.gqcg, model.num_classes,
-                              model.theta.tobytes(), signals.shape[1])
-    return fidelities(score_rows(signals, columns)[0])
-
-
-def forward(model: HQCGModel, signal) -> np.ndarray:
-    """Class probabilities p_i = |<psi|phi_i>|^2 for one 1-D signal."""
-    values = real_array(signal, "signal")
-    if values.ndim > 1:
-        raise ShapeError(f"expected one 1-D signal, got shape {values.shape}")
-    return forward_batch(model, values.reshape(1, -1))[0]
 
 
 # --- fidelity readouts ----------------------------------------------------------

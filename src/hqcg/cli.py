@@ -97,7 +97,7 @@ def load_model(path):
             _require(doc, "num_qubits", int), _require(doc, "group_size", int),
             _require(doc, "num_classes", int), theta=theta,
         )
-        return kind, model, circuit.forward_batch, doc
+        return kind, model, grad.forward_batch, doc
     if kind == "classical":
         widths = tuple(_require(doc, "layer_widths", list, int))
         model = baseline.MLPModel(widths, theta)
@@ -150,7 +150,7 @@ def _build_quantum(args, dataset: Dataset):
         "num_classes": dataset.num_classes,
         "signal_len": dataset.signal_len,
     }
-    return model, grad.loss_and_gradients, circuit.forward_batch, meta
+    return model, grad.loss_and_gradients, grad.forward_batch, meta
 
 
 def _build_classical(args, dataset: Dataset):

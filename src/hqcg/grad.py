@@ -1,8 +1,13 @@
-"""Exact loss gradients from block environments of the fused circuit.
+"""Scores, loss and exact gradients of the fused circuit.
 
 The score of class i on sample s is p_si = |a_si|^2 with
 a_si = <phi_i|U|x_s> = <w_i|x_s>, where w_i = U^dagger phi_i is class state
-i pulled back through the circuit (``circuit.pull_back``). The circuit
+i pulled back through the circuit (``circuit.pull_back``), so
+``forward_batch`` scores a batch against the C states w_i in one row-block
+pass (``circuit.score_rows``). ``scoring_columns`` keeps the last (length, 2C)
+matrix of them, keyed by the layers, the class count, ``theta`` and the
+length; a miss runs the step's own class side (``_class_side``), so scores
+and steps take one path from ``theta`` to w. The circuit
 factors exactly as U = G V: LQCG is V = V_{m-1} (x) ... (x) V_0, one
 2^g x 2^g unitary per qubit block, and GQCG is one 2^m x 2^m unitary G on
 the m = n/g block tops. With c_si = dL_s/dp_si,
@@ -59,10 +64,13 @@ bit-for-bit identical gradients.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .circuit import (
     HQCGModel,
+    ParamCircuit,
     apply_param_circuit,
     block_environments,
     block_gradients,
@@ -70,21 +78,73 @@ from .circuit import (
     class_gradients,
     class_state_trace,
     fidelities,
-    forward_batch,
     fused_blocks,
     layer_order,
     overlap_columns,
     pull_back,
+    rotation_matrices,
     rotations,
     score_rows,
     split_triples,
 )
 # perfbench/run.py traces encode_rows and both kernels through this
 # module's namespace; the gradient itself calls none of them
-from .encoding import check_rows, encode_rows  # noqa: F401
-from .errors import NumericError
+from .encoding import check_rows, encode_rows, real_array  # noqa: F401
+from .errors import NumericError, ShapeError
 from .qstate import apply_controlled_matrix, apply_single_matrix  # noqa: F401
 from .train import bce_prob_gradient, bce_rows, check_batch, mean_loss
+
+
+def _class_side(model: HQCGModel, mats: np.ndarray):
+    """(chains, class columns, class states phi in GQCG's layer order, their
+    ``class_state_trace``, beta = G^dagger phi, w = U^dagger phi) from
+    ``mats``, the rotation matrices of every triple of ``model.theta``: the
+    class side of a step, and all a scoring memo miss builds."""
+    chains, unitaries, cols = fused_blocks(model, mats)
+    states, trace = class_state_trace(cols, model.group_size, class_gathers(model.gqcg)[0])
+    beta, pulled = pull_back(model, states, unitaries)
+    return chains, cols, states, trace, beta, pulled
+
+
+@lru_cache(maxsize=1)
+def scoring_columns(lqcg: ParamCircuit, gqcg: ParamCircuit, num_classes: int,
+                    theta: bytes, length: int) -> np.ndarray:
+    """The read-only (length, 2C) ``overlap_columns`` of the class states of
+    the model with these layers, class count and float64 ``theta`` bytes,
+    pulled back through both layers. Only the last key asked for is kept, so
+    one parameter vector scoring batch after batch builds it once, and each
+    new ``theta`` replaces it rather than adding an entry."""
+    model = HQCGModel(lqcg.num_qubits, lqcg.width, num_classes, lqcg, gqcg,
+                      np.frombuffer(theta))
+    pulled = _class_side(model, rotation_matrices(model.theta.reshape(-1, 3)))[-1]
+    columns = overlap_columns(pulled, length)
+    columns.setflags(write=False)
+    return columns
+
+
+def forward_batch(model: HQCGModel, signals) -> np.ndarray:
+    """Per-class fidelity scores for a (batch, length) signal matrix.
+
+    The circuit U is one fixed linear map, so p_si = |<phi_i|U|x_s>|^2 =
+    |<U^dagger phi_i|x_s>|^2. The C class states are pulled back through
+    the circuit once per parameter vector and length (``scoring_columns``);
+    the whole batch is then scored on the calling thread by one
+    ``score_rows`` pass, in blocks small enough for OpenBLAS's unpacked
+    kernel (``circuit.PRODUCT_MACS``), each read once for overlaps and norm.
+    """
+    signals, _ = check_batch(model, signals)
+    check_rows(signals, model.num_qubits)
+    columns = scoring_columns(model.lqcg, model.gqcg, model.num_classes,
+                              model.theta.tobytes(), signals.shape[1])
+    return fidelities(score_rows(signals, columns)[0])
+
+
+def forward(model: HQCGModel, signal) -> np.ndarray:
+    """Class probabilities p_i = |<psi|phi_i>|^2 for one 1-D signal."""
+    values = real_array(signal, "signal")
+    if values.ndim > 1:
+        raise ShapeError(f"expected one 1-D signal, got shape {values.shape}")
+    return forward_batch(model, values.reshape(1, -1))[0]
 
 
 def _forward_trace(model: HQCGModel, kets, unitaries):
@@ -109,13 +169,8 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     check_rows(signals, model.num_qubits)
     # every gate matrix, class column and derivative in one closed-form call
     mats, dmats = rotations(model.theta.reshape(-1, 3))
-    chains, unitaries, cols = fused_blocks(model, mats)
+    chains, cols, states, trace, beta, pulled = _class_side(model, mats)
     *layer_dmats, class_dmats = split_triples(model, dmats)
-
-    # class states straight into GQCG's layer order, and xi read back from it
-    gather, read = class_gathers(model.gqcg)
-    states, trace = class_state_trace(cols, model.group_size, gather)
-    beta, pulled = pull_back(model, states, unitaries)
     overlaps, norms = score_rows(signals, overlap_columns(pulled, signals.shape[1]))
     probs = fidelities(overlaps)
     loss = mean_loss(bce_rows(probs, labels))
@@ -130,7 +185,7 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
     kets = np.zeros(pulled.shape, complex)
     kets.real[:, : signals.shape[1]] = folded[: len(kets)]
     kets.imag[:, : signals.shape[1]] = folded[len(kets) :]
-    u, xi, _ = _forward_trace(model, kets, unitaries)
+    u, xi, _ = _forward_trace(model, kets, [chain[0] for chain in chains])
 
     grads = np.empty(model.theta.size)
     lqcg, gqcg, classes = split_triples(model, grads.reshape(-1, 3))
@@ -142,7 +197,8 @@ def loss_and_gradients(model: HQCGModel, signals, labels):
                                 chains[1], layer_dmats[1])
     # slot a of every class column, the Rz on |0>, stays 0
     classes[..., 0] = 0.0
-    classes[..., 1:] = class_gradients(xi, cols, trace, class_dmats[:, :, 1:, :, 0], read)
+    classes[..., 1:] = class_gradients(xi, cols, trace, class_dmats[:, :, 1:, :, 0],
+                                       class_gathers(model.gqcg)[1])
     grads *= 2.0 / signals.shape[0]
     if not np.isfinite(grads).all():
         raise NumericError("non-finite gradient component")

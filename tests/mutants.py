@@ -75,6 +75,17 @@ MUTANTS = [
     Mutant("column-gradient-conj", "circuit.py",
            "envs[:, :, p] = (t @ inner[p - 1][..., None])[..., 0]",
            "envs[:, :, p] = (t @ inner[p - 1].conj()[..., None])[..., 0]"),
+    # the class side a step and a scoring memo miss share, and the memo
+    Mutant("class-side-gather-table", "grad.py", "class_gathers(model.gqcg)[0])",
+           "class_gathers(model.gqcg)[1])"),
+    Mutant("class-side-read-table", "grad.py", "class_gathers(model.gqcg)[1])",
+           "class_gathers(model.gqcg)[0])"),
+    Mutant("memo-miss-scores-beta", "grad.py",
+           "_class_side(model, rotation_matrices(model.theta.reshape(-1, 3)))[-1]",
+           "_class_side(model, rotation_matrices(model.theta.reshape(-1, 3)))[-2]"),
+    Mutant("memo-key-theta-order", "grad.py", "model.theta.tobytes(), signals.shape[1])",
+           "np.sort(model.theta).tobytes(), signals.shape[1])"),
+    Mutant("memo-unbounded", "grad.py", "@lru_cache(maxsize=1)", "@lru_cache(maxsize=None)"),
     Mutant("kets-imag-sign", "grad.py", "kets.imag[:, : signals.shape[1]] = folded[len(kets) :]",
            "kets.imag[:, : signals.shape[1]] = -folded[len(kets) :]"),
     Mutant("kets-real-from-imag", "grad.py",

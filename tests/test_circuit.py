@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hqcg.circuit
+import hqcg.grad
 from hqcg import (
     MAX_QUBITS,
     CapacityError,
@@ -170,10 +171,20 @@ def test_above_qubit_cap_raises_before_allocating(build, count):
 
 
 def test_param_slots_are_contiguous():
-    lqcg = build_lqcg(8, 4, param_offset=0)
-    gqcg = build_gqcg(8, 4, param_offset=lqcg.num_params)
+    lqcg = build_lqcg(8, 4)
+    gqcg = build_gqcg(8, 4)
     slots = [s for g in lqcg.gates + gqcg.gates for s in g.param_slot]
     assert sorted(slots) == list(range(30))
+
+
+@pytest.mark.parametrize("n, g", [(4, 2), (8, 4), (12, 3)])
+def test_model_from_the_builders_lists_build_models_slots(n, g):
+    # a model assembled from the two builders scores with the slots its
+    # layers own, so it lists the ones build_model's model lists
+    built = build_model(n, g, 2, seed=0)
+    model = hqcg.circuit.HQCGModel(n, g, 2, build_lqcg(n, g), build_gqcg(n, g), built.theta)
+    assert format_circuit(model) == format_circuit(built)
+    assert model.gqcg.gates[0].param_slot == (3 * n, 3 * n + 1, 3 * n + 2)
 
 
 # --- class states ----------------------------------------------------------------
@@ -395,7 +406,7 @@ def test_single_signal_entry_points_refuse_complex_and_text(signal):
 
 def _scored_fresh(model, signals):
     """``forward_batch`` on a memo emptied first, so the call must miss."""
-    hqcg.circuit.scoring_columns.cache_clear()
+    hqcg.grad.scoring_columns.cache_clear()
     return forward_batch(model, signals)
 
 
@@ -403,7 +414,7 @@ def test_scoring_memo_key_catches_every_change():
     # a call that should hit leaves the miss count alone and gives the bytes
     # a fresh build gives; a call that should miss adds one miss
     rng = np.random.default_rng(26)
-    memo = hqcg.circuit.scoring_columns
+    memo = hqcg.grad.scoring_columns
     model = build_model(8, 4, 4, seed=26)
     signals = rng.normal(size=(9, 200))
 
@@ -431,6 +442,8 @@ def test_scoring_memo_key_catches_every_change():
     short = signals[:, :16]
     scored(small, short, miss=True)
     scored(wide, short, miss=True)
+    forward_batch(small, short)  # each new key replaces the last
+    assert memo.cache_info().currsize == 1
 
 
 def test_scoring_memo_hit_runs_no_layer_and_a_bad_theta_is_still_refused(monkeypatch):
@@ -442,11 +455,13 @@ def test_scoring_memo_hit_runs_no_layer_and_a_bad_theta_is_still_refused(monkeyp
             return fn(*args, **kwargs)
         return wrapped
 
-    # by name in the module namespace, as perfbench/run.py patches its spans
+    # by name in the module namespace, as perfbench/run.py patches its spans:
+    # the layers where pull_back calls them, and the class states where the
+    # class side a miss shares with the step builds them
     monkeypatch.setattr(hqcg.circuit, "apply_param_circuit",
                         recording(apply_param_circuit, layers))
-    monkeypatch.setattr(hqcg.circuit, "class_state_matrix",
-                        recording(hqcg.circuit.class_state_matrix, states))
+    monkeypatch.setattr(hqcg.grad, "class_state_trace",
+                        recording(class_state_trace, states))
     model = build_model(8, 4, 4, seed=3)
     signals = np.random.default_rng(3).normal(size=(64, 256))
     miss = _scored_fresh(model, signals)
@@ -454,8 +469,8 @@ def test_scoring_memo_hit_runs_no_layer_and_a_bad_theta_is_still_refused(monkeyp
     hit = forward_batch(model, signals)
     assert (len(layers), len(states)) == (2, 1)
     assert hit.tobytes() == miss.tobytes()
-    columns = hqcg.circuit.scoring_columns(model.lqcg, model.gqcg, model.num_classes,
-                                           model.theta.tobytes(), 256)
+    columns = hqcg.grad.scoring_columns(model.lqcg, model.gqcg, model.num_classes,
+                                        model.theta.tobytes(), 256)
     assert columns.shape == (256, 8) and not columns.flags.writeable
     model.theta[0] = np.nan
     with pytest.raises(NumericError):

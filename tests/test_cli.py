@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import hqcg.circuit
 import hqcg.cli
 import hqcg.grad
 from hqcg import ConfigError, ShapeError
@@ -535,7 +534,7 @@ def test_predict_bad_top_exits_2_before_scoring(tmp_path, capsys, monkeypatch):
     data_dir = _synth(tmp_path)
     _, out_dir = _train(tmp_path, data_dir)
     calls = []
-    monkeypatch.setattr(hqcg.circuit, "forward_batch",
+    monkeypatch.setattr(hqcg.grad, "forward_batch",
                         lambda *args, **kwargs: calls.append(args))
     code = main(["predict", "--model-path", str(out_dir / "model.json"),
                  "--data", str(data_dir), "--top", "0"])

@@ -196,7 +196,8 @@ def _layers(n):
 
 def _gates(circuit, theta):
     """The layer's gates as qstate ``Controlled`` gates, in application order."""
-    return [Controlled(g.control, g.target, rotation_matrices(theta[list(g.param_slot)]))
+    return [Controlled(g.control, g.target,
+                       rotation_matrices(theta[np.subtract(g.param_slot, circuit.param_offset)]))
             for g in circuit.gates]
 
 
@@ -341,7 +342,7 @@ def test_step_runs_no_kernel_and_a_fixed_number_of_layers(monkeypatch):
         assert len(layers) == 4, batch
         assert max(layers) <= model.num_classes, batch
         layers.clear()
-        hqcg.circuit.scoring_columns.cache_clear()
+        hqcg.grad.scoring_columns.cache_clear()
         forward_batch(model, signals)
         assert len(layers) == 2, batch
         assert max(layers) <= model.num_classes, batch

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, apart from
-the re-exports the benchmark harness patches, and no library module reads
-the environment."""
+the re-exports the benchmark harness patches; the circuit algebra imports
+nothing from the modules that score and train with it; and no library
+module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,31 @@ def _unused_imports(tree: ast.Module) -> set[str]:
 def test_module_uses_every_name_it_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert unused == PATCHED_REEXPORTS.get(path.name, set())
+
+
+def _package_modules(tree: ast.Module) -> set[str]:
+    """The modules of the package that a module imports, or imports from."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return {name.removeprefix("hqcg.") for name in names}
+
+
+def test_circuit_imports_nothing_from_scoring_or_training():
+    # grad.py and train.py build on circuit.py, never the other way round
+    tree = ast.parse((SRC / "circuit.py").read_text(encoding="utf-8"))
+    assert _package_modules(tree).isdisjoint({"grad", "train"})
+
+
+def test_package_import_detector():
+    tree = ast.parse("import hqcg.grad\nfrom . import train\nfrom .qstate import x\n"
+                     "from hqcg.data import y\nimport numpy\n")
+    assert _package_modules(tree) == {"grad", "train", "qstate", "data", "numpy"}
 
 
 ENV_READS = {"environ", "environb", "getenv", "getenvb"}

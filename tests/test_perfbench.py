@@ -35,7 +35,7 @@ def test_traced_mid_predict_run_records_layer_spans():
     for name in ("circuit.lqcg.s", "circuit.gqcg.s", "grad.forward.s"):
         assert metrics[name]["value"] > 0, name
     # the traced round trains one epoch of two 64-row steps, and each step
-    # builds its class states once: the gradient's class_state_trace span
-    # binds. A forward call builds them only when its memo misses, so the
-    # forward's class_state_matrix binding is checked in tests/test_circuit.py.
+    # builds its class states once through grad's class_state_trace, the
+    # binding the span patches. A forward call that misses its memo builds
+    # them through the same binding (checked in tests/test_circuit.py).
     assert metrics["circuit.class_states.calls"]["value"] >= 2, metrics
